@@ -286,7 +286,7 @@ func BenchmarkKVFSAppend(b *testing.B) {
 }
 
 // BenchmarkKVFSFork measures copy-on-write fork cost against its
-// alternative, a deep copy via Extract (the ablation DESIGN.md §5 lists).
+// alternative, a deep copy via Extract.
 func BenchmarkKVFSFork(b *testing.B) {
 	fs := benchFS()
 	f := fs.CreateAnon("bench")

@@ -1,8 +1,9 @@
 // docs_check_test.go keeps the documentation honest: every relative
 // markdown link in README.md and docs/ must resolve to a file in the
-// repository, and docs/FLAGS.md must agree with the binaries' actual
-// flag sets in both directions — a flag documented but not defined is
-// as much a failure as a flag defined but not documented.
+// repository, docs/FLAGS.md must agree with the binaries' actual flag
+// sets, and docs/EXPERIMENTS.md with the experiment registry, each in
+// both directions — a name documented but not defined is as much a
+// failure as a name defined but not documented.
 package bench
 
 import (
@@ -12,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // docFiles returns README.md plus every markdown file under docs/.
@@ -159,6 +162,35 @@ func TestDocsFlagsMatchBinaries(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("docs/FLAGS.md has a section %q that is not a cmd/ binary", section)
+		}
+	}
+}
+
+// TestDocsExperimentsMatchRegistry asserts docs/EXPERIMENTS.md documents
+// exactly the registered sweeps: each -exp name appears either as the
+// first cell of a catalog table row or as a "### `name`" heading.
+func TestDocsExperimentsMatchRegistry(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("docs", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatalf("reading docs/EXPERIMENTS.md: %v", err)
+	}
+	nameRE := regexp.MustCompile("(?m)^(?:\\| |### )`([a-z0-9]+)`")
+	documented := map[string]bool{}
+	for _, m := range nameRE.FindAllStringSubmatch(string(data), -1) {
+		documented[m[1]] = true
+	}
+	registered := map[string]bool{}
+	for _, s := range experiments.Registry {
+		registered[s.Name] = true
+	}
+	for _, name := range sorted(registered) {
+		if !documented[name] {
+			t.Errorf("-exp %s is registered but docs/EXPERIMENTS.md does not document it", name)
+		}
+	}
+	for _, name := range sorted(documented) {
+		if !registered[name] {
+			t.Errorf("docs/EXPERIMENTS.md documents -exp %s but the registry has no such sweep", name)
 		}
 	}
 }

@@ -30,6 +30,13 @@ func DefaultBatchPolicy() BatchPolicyConfig {
 	return BatchPolicyConfig{Rate: 8, Pareto: 0.6, Duration: 20 * time.Second, Fixed: 15 * time.Millisecond}
 }
 
+// QuickBatchPolicy returns a reduced grid for -quick.
+func QuickBatchPolicy() BatchPolicyConfig {
+	c := DefaultBatchPolicy()
+	c.Duration = 8 * time.Second
+	return c
+}
+
 // BatchPolicyPoint is one policy's measurement.
 type BatchPolicyPoint struct {
 	Policy      string
@@ -170,6 +177,13 @@ type OverheadConfig struct {
 // DefaultOverhead returns the A2 configuration.
 func DefaultOverhead() OverheadConfig {
 	return OverheadConfig{Requests: 40, Rate: 2, PromptTokens: 200, GenTokens: 32}
+}
+
+// QuickOverhead returns a reduced grid for -quick.
+func QuickOverhead() OverheadConfig {
+	c := DefaultOverhead()
+	c.Requests = 20
+	return c
 }
 
 // OverheadPoint is one system's measurement.

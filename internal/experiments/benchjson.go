@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // BenchSchemaVersion identifies the BENCH_*.json layout. Bump it when a
@@ -30,8 +31,22 @@ type benchFile struct {
 }
 
 // WriteBenchJSON writes one experiment's machine-readable results to
-// path, seeding the perf trajectory a later run can be compared against.
+// path, creating its directory if needed, seeding the perf trajectory a
+// later run can be compared against.
 func WriteBenchJSON(path, experiment string, cfg, points any) error {
+	data, err := marshalBench(experiment, cfg, points)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// marshalBench encodes one experiment's artifact exactly as it lands on
+// disk; the determinism tests compare these bytes.
+func marshalBench(experiment string, cfg, points any) ([]byte, error) {
 	data, err := json.MarshalIndent(benchFile{
 		Experiment:    experiment,
 		SchemaVersion: BenchSchemaVersion,
@@ -39,7 +54,7 @@ func WriteBenchJSON(path, experiment string, cfg, points any) error {
 		Points:        points,
 	}, "", "  ")
 	if err != nil {
-		return fmt.Errorf("experiments: marshal %s bench: %w", experiment, err)
+		return nil, fmt.Errorf("experiments: marshal %s bench: %w", experiment, err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return append(data, '\n'), nil
 }

@@ -400,13 +400,13 @@ func runChaosCell(cfg ChaosConfig, mode string) ChaosPoint {
 							if err != nil {
 								return err
 							}
-							if err := migratePred(ctx, fork, cfg.SuffixTokens, seed); err != nil {
+							if err := synthPred(ctx, fork, cfg.SuffixTokens, seed); err != nil {
 								fork.Remove()
 								return err
 							}
 						}
 						for d := 0; d < cfg.DecodeTokens; d++ {
-							if err := migratePred(ctx, fork, 1, seed+500+d); err != nil {
+							if err := synthPred(ctx, fork, 1, seed+500+d); err != nil {
 								fork.Remove()
 								return err
 							}

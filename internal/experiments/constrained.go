@@ -39,6 +39,13 @@ func DefaultConstrained() ConstrainedConfig {
 	}
 }
 
+// QuickConstrained returns a reduced grid for -quick.
+func QuickConstrained() ConstrainedConfig {
+	c := DefaultConstrained()
+	c.Trials, c.Retries = 4, 8
+	return c
+}
+
 // ConstrainedPoint is one system's aggregate over all trials.
 type ConstrainedPoint struct {
 	System    string

@@ -42,6 +42,13 @@ func DefaultEditor() EditorConfig {
 	}
 }
 
+// QuickEditor returns a reduced grid for -quick.
+func QuickEditor() EditorConfig {
+	c := DefaultEditor()
+	c.Keystrokes = 40
+	return c
+}
+
 // EditorPoint is one system's aggregate.
 type EditorPoint struct {
 	System      string

@@ -1,8 +1,8 @@
 // Package experiments contains the drivers that regenerate every figure
-// and quantitative claim of the paper (see DESIGN.md §4 for the index).
-// The same code backs cmd/symphony-bench and the testing.B benchmarks in
-// the repository root, so the numbers in EXPERIMENTS.md are reproducible
-// with either entry point.
+// and quantitative claim of the paper (docs/EXPERIMENTS.md is the index).
+// The same code backs cmd/symphony-bench, through Registry, and the
+// testing.B benchmarks in the repository root, so the numbers in
+// docs/EXPERIMENTS.md are reproducible with either entry point.
 package experiments
 
 import (
@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvfs"
 	"repro/internal/simclock"
+	"repro/internal/token"
 )
 
 // newRand returns a seeded deterministic source for experiment drivers.
@@ -114,6 +115,20 @@ func (g *admitGate) Release(n int) {
 		w.ev.Fire()
 	}
 	g.mu.Unlock()
+}
+
+// synthPred appends n synthetic tokens, seed, seed+1, ..., to f through
+// the pred syscall.
+func synthPred(ctx *core.Ctx, f *kvfs.File, n, seed int) error {
+	toks := make([]token.ID, n)
+	pos := make([]int, n)
+	base := f.Len()
+	for i := range toks {
+		toks[i] = token.ID(seed + i)
+		pos[i] = base + i
+	}
+	_, err := ctx.Pred(f, toks, pos)
+	return err
 }
 
 // fig3FS sizes a KV file system for an experiment.

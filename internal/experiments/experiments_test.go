@@ -6,8 +6,7 @@ import (
 )
 
 func TestToolCallsScalesWithRoundTrips(t *testing.T) {
-	cfg := DefaultToolCalls()
-	cfg.Calls = []int{1, 4}
+	cfg := QuickToolCalls() // k = 1, 4
 	pts := RunToolCalls(cfg)
 	get := func(sys string, k int) ToolCallsPoint {
 		for _, p := range pts {
@@ -103,8 +102,7 @@ func TestMultiRoundRetentionBeatsEviction(t *testing.T) {
 }
 
 func TestTreeForkBeatsResend(t *testing.T) {
-	cfg := DefaultTree()
-	cfg.Branch, cfg.Depth = 2, 3 // 14 nodes
+	cfg := QuickTree() // branch 2, depth 3: 14 nodes
 	pts := RunTree(cfg)
 	byName := map[string]TreePoint{}
 	for _, p := range pts {

@@ -162,19 +162,6 @@ func familyRoot(t token.ID) model.CtxHash {
 	return model.CtxHash(0).Extend(t, 0)
 }
 
-// migratePred appends n synthetic tokens to f through pred.
-func migratePred(ctx *core.Ctx, f *kvfs.File, n, seed int) error {
-	toks := make([]token.ID, n)
-	pos := make([]int, n)
-	base := f.Len()
-	for i := range toks {
-		toks[i] = token.ID(seed + i)
-		pos[i] = base + i
-	}
-	_, err := ctx.Pred(f, toks, pos)
-	return err
-}
-
 // seedFamily creates and prefills one shared-prefix family file. The
 // first token is the skew-engineered one; the rest differentiate the
 // families.
@@ -264,7 +251,7 @@ func runMigrateCell(cfg MigrateConfig, dispatch string) MigratePoint {
 			defer ctx.KvUnlock(f)
 			rounds := cfg.RequestsPerClient * cfg.DecodeTokens
 			for r := 0; r < rounds; r++ {
-				if err := migratePred(ctx, f, 1, 7_100_000+r); err != nil {
+				if err := synthPred(ctx, f, 1, 7_100_000+r); err != nil {
 					return err
 				}
 				if err := ctx.Sleep(5 * time.Millisecond); err != nil {
@@ -299,12 +286,12 @@ func runMigrateCell(cfg MigrateConfig, dispatch string) MigratePoint {
 							return err
 						}
 						seed := seedBase(cfg.Seed) + 2_000_000 + fam*100_000 + c*10_000 + r*1_000
-						if err := migratePred(ctx, fork, cfg.SuffixTokens, seed); err != nil {
+						if err := synthPred(ctx, fork, cfg.SuffixTokens, seed); err != nil {
 							fork.Remove()
 							return err
 						}
 						for d := 0; d < cfg.DecodeTokens; d++ {
-							if err := migratePred(ctx, fork, 1, seed+500+d); err != nil {
+							if err := synthPred(ctx, fork, 1, seed+500+d); err != nil {
 								fork.Remove()
 								return err
 							}

@@ -47,6 +47,13 @@ func DefaultMultiRound() MultiRoundConfig {
 	}
 }
 
+// QuickMultiRound returns a reduced grid for -quick.
+func QuickMultiRound() MultiRoundConfig {
+	c := DefaultMultiRound()
+	c.Rounds = 4
+	return c
+}
+
 // MultiRoundPoint is one system's aggregate.
 type MultiRoundPoint struct {
 	System      string

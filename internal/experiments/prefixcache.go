@@ -36,9 +36,6 @@ type PrefixCacheConfig struct {
 	// ChunkTokens overrides the cache's radix indexing chunk; zero keeps
 	// the core default.
 	ChunkTokens int
-	// ForceOn runs every cell with the cache enabled (the -prefix-cache
-	// flag), turning the sweep into an on/on/on+order sanity run.
-	ForceOn bool
 	// Seed offsets the deterministic workload streams (see seedBase); 0
 	// and 1 both select the recorded baseline.
 	Seed int64
@@ -147,7 +144,7 @@ func prefixPromptTokens(cfg PrefixCacheConfig, base, t, j int) []token.ID {
 
 // runPrefixCacheCell measures one kernel configuration on the workload.
 func runPrefixCacheCell(cfg PrefixCacheConfig, cell string) PrefixCachePoint {
-	enabled := cfg.ForceOn || cell != "off"
+	enabled := cell != "off"
 	order := cell == "on+order"
 	clk := simclock.New()
 	bpt := model.A100Llama13B().KVBytesPerToken
@@ -204,7 +201,7 @@ func runPrefixCacheCell(cfg PrefixCacheConfig, cell string) PrefixCachePoint {
 						return err
 					}
 					for d := 0; d < cfg.DecodeTokens; d++ {
-						if err := migratePred(ctx, f, 1, base+9_000_000+t*100_000+j*1_000+d); err != nil {
+						if err := synthPred(ctx, f, 1, base+9_000_000+t*100_000+j*1_000+d); err != nil {
 							f.Remove()
 							return err
 						}

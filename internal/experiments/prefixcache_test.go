@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
@@ -59,23 +58,6 @@ func TestPrefixCacheSpeedupBar(t *testing.T) {
 	}
 }
 
-// marshalPrefixCacheBench runs one prefixcache sweep and marshals it
-// exactly as WriteBenchJSON would lay it out on disk.
-func marshalPrefixCacheBench(t *testing.T, cfg PrefixCacheConfig) []byte {
-	t.Helper()
-	pts := RunPrefixCache(cfg)
-	data, err := json.MarshalIndent(benchFile{
-		Experiment:    "prefixcache",
-		SchemaVersion: BenchSchemaVersion,
-		Config:        cfg,
-		Points:        pts,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // TestPrefixCacheSeededRunsByteIdentical is the bit-reproducibility bar
 // for the sweep: twenty identically-seeded runs must produce
 // byte-identical BENCH JSON — the radix tree's map iteration, eviction
@@ -86,9 +68,16 @@ func TestPrefixCacheSeededRunsByteIdentical(t *testing.T) {
 	cfg.JobsPerTenant = 4
 	cfg.Seed = 42
 
-	first := marshalPrefixCacheBench(t, cfg)
+	marshal := func() []byte {
+		data, err := marshalBench("prefixcache", cfg, RunPrefixCache(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	first := marshal()
 	for run := 1; run < 20; run++ {
-		if again := marshalPrefixCacheBench(t, cfg); !bytes.Equal(first, again) {
+		if again := marshal(); !bytes.Equal(first, again) {
 			t.Fatalf("run %d differs from run 0:\n--- first ---\n%s\n--- run %d ---\n%s",
 				run, first, run, again)
 		}

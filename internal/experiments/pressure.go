@@ -13,7 +13,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/token"
 )
 
 // PressureConfig parameterizes the memory-pressure sweep: a closed-loop
@@ -141,19 +140,6 @@ func RunPressure(cfg PressureConfig) []PressurePoint {
 	return out
 }
 
-// pressurePred appends n synthetic tokens to f through the pred syscall.
-func pressurePred(ctx *core.Ctx, f *kvfs.File, n, seed int) error {
-	toks := make([]token.ID, n)
-	pos := make([]int, n)
-	base := f.Len()
-	for i := range toks {
-		toks[i] = token.ID(seed + i)
-		pos[i] = base + i
-	}
-	_, err := ctx.Pred(f, toks, pos)
-	return err
-}
-
 // runPressureCell measures one policy at one oversubscription factor.
 func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePoint {
 	bpt := model.A100Llama13B().KVBytesPerToken
@@ -210,7 +196,7 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 				for r := 0; r < cfg.Rounds; r++ {
 					// Grow the conversation (restores transparently if
 					// the daemon evicted it during the think window).
-					if err := pressurePred(ctx, conv, chunk, seedBase(cfg.Seed)+c*100000+r*1000); err != nil {
+					if err := synthPred(ctx, conv, chunk, seedBase(cfg.Seed)+c*100000+r*1000); err != nil {
 						return err
 					}
 					// Fresh scratch the client will never touch again —
@@ -223,7 +209,7 @@ func runPressureCell(cfg PressureConfig, policy string, over float64) PressurePo
 							return err
 						}
 						scratches = append(scratches, scratch)
-						if err := pressurePred(ctx, scratch, cfg.ScratchTokens, seedBase(cfg.Seed)+900000+c*10000+r*100+s); err != nil {
+						if err := synthPred(ctx, scratch, cfg.ScratchTokens, seedBase(cfg.Seed)+900000+c*10000+r*100+s); err != nil {
 							return err
 						}
 					}

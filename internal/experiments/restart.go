@@ -272,11 +272,11 @@ func runRestartCell(cfg RestartConfig, mode string) RestartPoint {
 				}
 				defer fork.Remove()
 				seed := seedBase(cfg.Seed) + 2_000_000 + fam*100_000
-				if err := pressurePred(ctx, fork, cfg.SuffixTokens, seed); err != nil {
+				if err := synthPred(ctx, fork, cfg.SuffixTokens, seed); err != nil {
 					return err
 				}
 				// First decode token done = first generated token: TTFT.
-				if err := pressurePred(ctx, fork, 1, seed+500); err != nil {
+				if err := synthPred(ctx, fork, 1, seed+500); err != nil {
 					return err
 				}
 				ttft := ctx.Clock().Now()
@@ -284,7 +284,7 @@ func runRestartCell(cfg RestartConfig, mode string) RestartPoint {
 				ttfts = append(ttfts, ttft)
 				mu.Unlock()
 				for d := 1; d < cfg.DecodeTokens; d++ {
-					if err := pressurePred(ctx, fork, 1, seed+500+d); err != nil {
+					if err := synthPred(ctx, fork, 1, seed+500+d); err != nil {
 						return err
 					}
 				}

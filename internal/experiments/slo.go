@@ -6,12 +6,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kvfs"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/token"
 )
 
 // SLOConfig parameterizes the priority-scheduling sweep: a mixed
@@ -179,19 +177,6 @@ func RunSLO(cfg SLOConfig) []SLOPoint {
 	return out
 }
 
-// sloPred appends n synthetic tokens to f through the pred syscall.
-func sloPred(ctx *core.Ctx, f *kvfs.File, n, seed int) error {
-	toks := make([]token.ID, n)
-	pos := make([]int, n)
-	base := f.Len()
-	for i := range toks {
-		toks[i] = token.ID(seed + i)
-		pos[i] = base + i
-	}
-	_, err := ctx.Pred(f, toks, pos)
-	return err
-}
-
 // sloRequest runs one request: a prefill pred followed by decode
 // single-token preds, on a fresh file.
 func sloRequest(ctx *core.Ctx, prefill, decode, seed int) error {
@@ -200,11 +185,11 @@ func sloRequest(ctx *core.Ctx, prefill, decode, seed int) error {
 		return err
 	}
 	defer f.Remove()
-	if err := sloPred(ctx, f, prefill, seed); err != nil {
+	if err := synthPred(ctx, f, prefill, seed); err != nil {
 		return err
 	}
 	for d := 0; d < decode; d++ {
-		if err := sloPred(ctx, f, 1, seed+prefill+d); err != nil {
+		if err := synthPred(ctx, f, 1, seed+prefill+d); err != nil {
 			return err
 		}
 	}

@@ -167,7 +167,7 @@ func specdecRequest(ctx *core.Ctx, prefill, decode, seed int) error {
 		return err
 	}
 	defer f.Remove()
-	if err := sloPred(ctx, f, prefill, seed); err != nil {
+	if err := synthPred(ctx, f, prefill, seed); err != nil {
 		return err
 	}
 	return specdecDecode(ctx, f, decode, seed+prefill)

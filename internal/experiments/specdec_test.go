@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
@@ -78,13 +77,7 @@ func TestSpecdecSeededRunsByteIdentical(t *testing.T) {
 	cfg.BatchDecode = 128
 	cfg.Seed = 42
 	marshal := func() []byte {
-		pts := RunSpecdec(cfg)
-		data, err := json.MarshalIndent(benchFile{
-			Experiment:    "specdec",
-			SchemaVersion: BenchSchemaVersion,
-			Config:        cfg,
-			Points:        pts,
-		}, "", "  ")
+		data, err := marshalBench("specdec", cfg, RunSpecdec(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,6 +32,13 @@ func DefaultSpeculative() SpeculativeConfig {
 	}
 }
 
+// QuickSpeculative returns a reduced grid for -quick.
+func QuickSpeculative() SpeculativeConfig {
+	c := DefaultSpeculative()
+	c.Ks = []int{0, 4}
+	return c
+}
+
 // SpeculativePoint is one measurement.
 type SpeculativePoint struct {
 	K           int

@@ -42,6 +42,13 @@ func DefaultToolCalls() ToolCallsConfig {
 	}
 }
 
+// QuickToolCalls returns a reduced grid for -quick.
+func QuickToolCalls() ToolCallsConfig {
+	c := DefaultToolCalls()
+	c.Calls = []int{1, 4}
+	return c
+}
+
 // ToolCallsPoint is one (system, k) measurement.
 type ToolCallsPoint struct {
 	System      string

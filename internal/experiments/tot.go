@@ -32,6 +32,13 @@ func DefaultTree() TreeConfig {
 	return TreeConfig{Branch: 3, Depth: 3, RootTokens: 256, NodeGen: 24}
 }
 
+// QuickTree returns a reduced grid for -quick.
+func QuickTree() TreeConfig {
+	c := DefaultTree()
+	c.Branch, c.Depth = 2, 3
+	return c
+}
+
 // TreePoint is one system's measurement.
 type TreePoint struct {
 	System    string

@@ -1,8 +1,9 @@
 // Package model implements the simulated large language model that stands
 // in for the paper's Llama-13B-on-A100 substrate.
 //
-// The substitution (documented in DESIGN.md §2) keeps two properties the
-// serving-system experiments depend on and discards the rest:
+// The substitution (summarized in docs/ARCHITECTURE.md) keeps two
+// properties the serving-system experiments depend on and discards the
+// rest:
 //
 //  1. Causality/determinism. The next-token distribution is a pure function
 //     of the visible context — a rolling 64-bit hash over (token, position)
