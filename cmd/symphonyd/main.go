@@ -17,7 +17,8 @@
 // NVLink/IB-class interconnect: -interconnect-gbps sets the fabric
 // bandwidth, -migrate-threshold the home-overload factor, and each move
 // streams to the affected job as a kv_migrate event). Per-replica
-// utilization and the migration ledger are reported by /v1/stats.
+// utilization and the migration ledger are reported by /v1/stats under
+// "sched" and "migration".
 //
 // The batch scheduler executes iteration-level (Orca-style continuous
 // batching): each pred call runs up to -step-quantum tokens per GPU
@@ -29,7 +30,7 @@
 // completion) bodies; -default-priority sets the lane for requests that
 // don't, and -batch-tenants lists tenants whose jobs default to the
 // batch lane. Per-lane queue-delay histograms and preemption counters
-// are reported by /v1/stats under "lanes".
+// are reported by /v1/stats under "sched.lanes".
 //
 // Two executor options compose with either policy: -prefill-chunk caps
 // the prefill tokens one pred contributes per iteration (Sarathi-style
@@ -39,8 +40,9 @@
 // proposes -spec-window tokens (adaptively resized from the observed
 // acceptance rate), the target verifies them in one batched step, and
 // the accepted prefix plus one correction token retire together.
-// -spec-decode requires an iteration-level -priority-policy; the
-// speculation ledger is reported by /v1/stats under "spec".
+// -spec-decode requires an iteration-level -priority-policy; /v1/stats
+// reports the draft configuration under "spec" and the speculation
+// ledger as "sched.spec_*".
 //
 // A kernel radix prefix cache (-prefix-cache) deduplicates KV across
 // jobs: every committed prefill leaves its -prefix-chunk-aligned
@@ -65,8 +67,9 @@
 // committed every -kv-checkpoint of virtual time, and a restarted
 // daemon re-imports them lazily (warm restart: the first pred on a
 // recovered prefix pays an NVMe load or a recompute, whichever the cost
-// model says is cheaper). Disk counters appear under "disk" in
-// /v1/stats; spill/load actions stream as kv_pressure events.
+// model says is cheaper). Disk page counts appear under "fs" and the
+// spill/load ledger under "kvd" in /v1/stats; spill/load actions stream
+// as kv_pressure events.
 //
 //	symphonyd -addr :8080 -speedup 1 -gpus 4 -dispatch cache-affinity -kv-policy cost-aware
 //	curl -s -X POST localhost:8080/v2/programs -d @examples/wire/stream.json
@@ -74,6 +77,9 @@
 //	curl -s -X DELETE localhost:8080/v2/programs/job-000001
 //	curl -s localhost:8080/v1/completions -d '{"prompt":"hi","max_tokens":16}'
 //	curl -s localhost:8080/v1/stats
+//
+// The /v1/stats body is core.Stats encoded as is; docs/ARCHITECTURE.md
+// lists every key.
 package main
 
 import (
@@ -137,6 +143,36 @@ func main() {
 		"how long finished jobs stay pollable (virtual time)")
 	flag.Parse()
 
+	// Reject out-of-range numeric flags up front: the layers below would
+	// silently replace them with their defaults. The float checks are
+	// written so that NaN fails them too.
+	if !(*speedup > 0) {
+		log.Fatalf("-speedup must be positive (got %g)", *speedup)
+	}
+	if *gpus < 1 {
+		log.Fatalf("-gpus must be >= 1 (got %d)", *gpus)
+	}
+	if !(*interconnectGbps > 0) {
+		log.Fatalf("-interconnect-gbps must be positive (got %g)", *interconnectGbps)
+	}
+	if !(*migrateThreshold > 0) {
+		log.Fatalf("-migrate-threshold must be positive (got %g)", *migrateThreshold)
+	}
+	if !(*kvHighWater > 0 && *kvHighWater <= 1) {
+		log.Fatalf("-kv-high-water must be in (0, 1] (got %g)", *kvHighWater)
+	}
+	if !(*kvDiskGB >= 0) {
+		log.Fatalf("-kv-disk-gb must be >= 0 (got %g; 0 disables the disk tier)", *kvDiskGB)
+	}
+	if !(*kvDiskHighWater > 0 && *kvDiskHighWater <= 1) {
+		log.Fatalf("-kv-disk-high-water must be in (0, 1] (got %g)", *kvDiskHighWater)
+	}
+	if *maxJobs <= 0 {
+		log.Fatalf("-max-jobs-per-user must be positive (got %d)", *maxJobs)
+	}
+	if *retention <= 0 {
+		log.Fatalf("-job-retention must be positive (got %v)", *retention)
+	}
 	// Reject bad enumerated flag values up front, each with the list of
 	// valid names, instead of failing deep inside kernel setup.
 	dispatcher, err := sched.NewDispatcher(*dispatch)

@@ -1,19 +1,23 @@
 // docs_check_test.go keeps the documentation honest: every relative
 // markdown link in README.md and docs/ must resolve to a file in the
 // repository, docs/FLAGS.md must agree with the binaries' actual flag
-// sets, and docs/EXPERIMENTS.md with the experiment registry, each in
-// both directions — a name documented but not defined is as much a
-// failure as a name defined but not documented.
+// sets, docs/EXPERIMENTS.md with the experiment registry, and the
+// /v1/stats key table in docs/ARCHITECTURE.md with the json tags of
+// core.Stats, each in both directions — a name documented but not
+// defined is as much a failure as a name defined but not documented.
 package bench
 
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -191,6 +195,77 @@ func TestDocsExperimentsMatchRegistry(t *testing.T) {
 	for _, name := range sorted(documented) {
 		if !registered[name] {
 			t.Errorf("docs/EXPERIMENTS.md documents -exp %s but the registry has no such sweep", name)
+		}
+	}
+}
+
+// statsKeyRE is the shape of one /v1/stats key: snake_case.
+var statsKeyRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+
+// statsKeys adds typ's wire key paths to keys: a nested struct (or a
+// pointer to one) prefixes its fields with "name.", a slice of structs
+// with "name[].". Every exported field must carry an explicit snake_case
+// json tag, and every duration a key ending in _ns.
+func statsKeys(t *testing.T, typ reflect.Type, prefix string, keys map[string]bool) {
+	t.Helper()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !statsKeyRE.MatchString(name) {
+			t.Errorf("%s.%s: json tag %q is not an explicit snake_case key", typ, f.Name, name)
+			continue
+		}
+		if f.Type == reflect.TypeOf(time.Duration(0)) && !strings.HasSuffix(name, "_ns") {
+			t.Errorf("%s.%s: duration key %q must end in _ns", typ, f.Name, name)
+		}
+		ft, sep := f.Type, "."
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Slice {
+			ft, sep = ft.Elem(), "[]."
+		}
+		if ft.Kind() == reflect.Struct {
+			statsKeys(t, ft, prefix+name+sep, keys)
+			continue
+		}
+		keys[prefix+name] = true
+	}
+}
+
+// TestDocsStatsSchemaMatchesTags asserts the key table under the
+// "/v1/stats schema" heading of docs/ARCHITECTURE.md lists exactly the
+// key paths the json tags of core.Stats produce.
+func TestDocsStatsSchemaMatchesTags(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("docs", "ARCHITECTURE.md"))
+	if err != nil {
+		t.Fatalf("reading docs/ARCHITECTURE.md: %v", err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n## `/v1/stats` schema\n")
+	if !ok {
+		t.Fatal("docs/ARCHITECTURE.md: no \"## `/v1/stats` schema\" section")
+	}
+	if i := strings.Index(section, "\n## "); i >= 0 {
+		section = section[:i]
+	}
+	rowRE := regexp.MustCompile("(?m)^\\| `([a-z0-9_.\\[\\]]+)` \\|")
+	documented := map[string]bool{}
+	for _, m := range rowRE.FindAllStringSubmatch(section, -1) {
+		documented[m[1]] = true
+	}
+	defined := map[string]bool{}
+	statsKeys(t, reflect.TypeOf(core.Stats{}), "", defined)
+	for _, key := range sorted(defined) {
+		if !documented[key] {
+			t.Errorf("/v1/stats key %s is not in docs/ARCHITECTURE.md's schema table", key)
+		}
+	}
+	for _, key := range sorted(documented) {
+		if !defined[key] {
+			t.Errorf("docs/ARCHITECTURE.md documents /v1/stats key %s but core.Stats has no such field", key)
 		}
 	}
 }

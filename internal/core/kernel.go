@@ -152,12 +152,12 @@ type Config struct {
 type SpecConfig struct {
 	// Draft names the registered model that proposes tokens. It must be
 	// a different (cheaper) model than the default one.
-	Draft string
+	Draft string `json:"draft"`
 	// Window, MinWindow, and MaxWindow seed and bound the adaptive draft
 	// window; zero values take the sched defaults (4, 1, 8).
-	Window    int
-	MinWindow int
-	MaxWindow int
+	Window    int `json:"window"`
+	MinWindow int `json:"min_window"`
+	MaxWindow int `json:"max_window"`
 }
 
 // DiskConfig configures the kernel's durable disk KV tier: a snapshot
@@ -534,10 +534,6 @@ func (k *Kernel) Model(name string) (*model.Model, error) {
 // DefaultModelName returns the name Pred resolves "" to.
 func (k *Kernel) DefaultModelName() string { return k.defMod }
 
-// SpecDecode returns the speculative-decoding configuration, or nil when
-// disabled.
-func (k *Kernel) SpecDecode() *SpecConfig { return k.spec }
-
 // RegisterTool makes a tool callable from LIPs.
 func (k *Kernel) RegisterTool(name string, t Tool) {
 	k.mu.Lock()
@@ -556,25 +552,33 @@ func (k *Kernel) Process(pid int) (*Process, error) {
 	return p, nil
 }
 
-// Stats is a snapshot of kernel counters.
+// Stats is a snapshot of kernel counters: the one typed schema behind
+// GET /v1/stats, which encodes it as is. Every field of it and of the
+// layer snapshots it nests carries an explicit snake_case json tag, and
+// durations encode as integer nanoseconds under a _ns key.
 type Stats struct {
-	Processes   int64
-	PredCalls   int64
-	PredTokens  int64
-	KVCalls     int64
-	ToolCalls   int64
-	IPCMessages int64
-	RestoreTime time.Duration
-	Sched       sched.Stats
-	FS          kvfs.Stats
-	KVD         kvd.Stats
-	Migration   MigrationStats
-	PrefixCache PrefixCacheStats
+	Processes   int64            `json:"processes"`
+	PredCalls   int64            `json:"pred_calls"`
+	PredTokens  int64            `json:"pred_tokens"`
+	KVCalls     int64            `json:"kv_calls"`
+	ToolCalls   int64            `json:"tool_calls"`
+	IPCMessages int64            `json:"ipc_messages"`
+	RestoreTime time.Duration    `json:"restore_time_ns"`
+	Sched       sched.Stats      `json:"sched"`
+	FS          kvfs.Stats       `json:"fs"`
+	KVD         kvd.Stats        `json:"kvd"`
+	Migration   MigrationStats   `json:"migration"`
+	PrefixCache PrefixCacheStats `json:"prefix_cache"`
+	// Spec is the speculative-decoding configuration, nil when it is off.
+	Spec *SpecConfig `json:"spec"`
+	// VirtualTime is the kernel clock's reading when the snapshot was
+	// taken.
+	VirtualTime time.Duration `json:"virtual_time_ns"`
 }
 
 // Stats returns a snapshot of counters.
 func (k *Kernel) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Processes:   k.procsStarted.Value(),
 		PredCalls:   k.predCalls.Value(),
 		PredTokens:  k.predTokens.Value(),
@@ -587,7 +591,13 @@ func (k *Kernel) Stats() Stats {
 		KVD:         k.kvd.Stats(),
 		Migration:   k.mig.stats(),
 		PrefixCache: k.pcache.stats(),
+		VirtualTime: k.clk.Now(),
 	}
+	if k.spec != nil {
+		spec := *k.spec
+		st.Spec = &spec
+	}
+	return st
 }
 
 // ThreadGauges reports the instantaneous two-level scheduler view: threads

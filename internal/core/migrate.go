@@ -145,36 +145,36 @@ func decide(in migrateDecision) migrateChoice {
 // MigrationStats is a snapshot of the engine's counters; Enabled is
 // false (and everything zero) on kernels without the engine.
 type MigrationStats struct {
-	Enabled          bool
-	Threshold        float64
-	InterconnectGbps float64
+	Enabled          bool    `json:"enabled"`
+	Threshold        float64 `json:"threshold"`
+	InterconnectGbps float64 `json:"interconnect_gbps"`
 	// Roots is the number of live prefix families in the global index.
-	Roots int
+	Roots int `json:"prefix_roots"`
 	// Migrations / MigratedTokens / MigratedPages / MigrateTime count
 	// page-copy moves and the fabric time they charged.
-	Migrations     int64
-	MigratedTokens int64
-	MigratedPages  int64
-	MigrateTime    time.Duration
+	Migrations     int64         `json:"migrations"`
+	MigratedTokens int64         `json:"migrated_tokens"`
+	MigratedPages  int64         `json:"migrated_pages"`
+	MigrateTime    time.Duration `json:"migrate_time_ns"`
 	// ColdStarts / RecomputedTokens count moves done by re-prefilling on
 	// the destination instead of transferring.
-	ColdStarts       int64
-	RecomputedTokens int64
+	ColdStarts       int64 `json:"cold_starts"`
+	RecomputedTokens int64 `json:"recomputed_tokens"`
 	// RefusedLocked / RefusedInFlight / RefusedPressure count moves the
 	// safety rules vetoed. Locked and in-flight files are never migrated.
-	RefusedLocked   int64
-	RefusedInFlight int64
-	RefusedPressure int64
+	RefusedLocked   int64 `json:"refused_locked"`
+	RefusedInFlight int64 `json:"refused_inflight"`
+	RefusedPressure int64 `json:"refused_pressure"`
 	// TransferAborts counts migrations rolled back because the
 	// interconnect transfer failed: the destination reservation was
 	// released, the family stayed home, and the index was left unchanged.
-	TransferAborts int64
+	TransferAborts int64 `json:"transfer_aborts"`
 	// ReplicaCrashes / InvalidatedRoots count crash-restart notifications
 	// from the scheduler and the prefix families they evicted from the
 	// index (their pages died with the replica; the next pred re-seeds
 	// them wherever it lands).
-	ReplicaCrashes   int64
-	InvalidatedRoots int64
+	ReplicaCrashes   int64 `json:"replica_crashes"`
+	InvalidatedRoots int64 `json:"invalidated_roots"`
 }
 
 // rootInfo is one prefix family's index entry.
@@ -345,10 +345,9 @@ func (x *prefixIndex) invalidateHome(home int) int {
 
 // migrator is the migration engine instance hanging off a kernel.
 type migrator struct {
-	k         *Kernel
-	ic        *netsim.Interconnect
-	threshold float64
-	idx       *prefixIndex
+	k   *Kernel
+	ic  *netsim.Interconnect
+	idx *prefixIndex
 
 	mu       sync.Mutex
 	inflight map[*kvfs.File]int
@@ -358,18 +357,9 @@ type migrator struct {
 	// every family onto the momentarily-idlest replica.
 	pendingMove map[int]int
 
-	migrations       int64
-	migratedTokens   int64
-	migratedPages    int64
-	migrateTime      time.Duration
-	coldStarts       int64
-	recomputedTok    int64
-	refusedLocked    int64
-	refusedInFlight  int64
-	refusedPressure  int64
-	abortedTransfers int64
-	replicaCrashes   int64
-	invalidatedRoots int64
+	// st holds the counters and the engine's fixed settings; stats
+	// fills in the index size.
+	st MigrationStats
 }
 
 func newMigrator(k *Kernel, ic *netsim.Interconnect, threshold float64) *migrator {
@@ -379,10 +369,10 @@ func newMigrator(k *Kernel, ic *netsim.Interconnect, threshold float64) *migrato
 	return &migrator{
 		k:           k,
 		ic:          ic,
-		threshold:   threshold,
 		idx:         newPrefixIndex(),
 		inflight:    make(map[*kvfs.File]int),
 		pendingMove: make(map[int]int),
+		st:          MigrationStats{Enabled: true, Threshold: threshold, InterconnectGbps: ic.Gbps()},
 	}
 }
 
@@ -461,7 +451,7 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 		MinLoad:       loads[minID],
 		MeanLoad:      float64(total) / float64(n),
 		RootsAtHome:   rootsAtHome,
-		Threshold:     m.threshold,
+		Threshold:     m.st.Threshold,
 		Locked:        f.LockedBy() != "",
 		InFlight:      m.otherInFlight(f),
 		PressureHigh:  m.pressureHigh(),
@@ -492,8 +482,8 @@ func (m *migrator) route(c *Ctx, f *kvfs.File, call *sched.Call, cost model.Cost
 		call.Tokens += prefixTokens
 		m.idx.setHome(root, minID, m.k.clk.Now())
 		m.mu.Lock()
-		m.coldStarts++
-		m.recomputedTok += int64(prefixTokens)
+		m.st.ColdStarts++
+		m.st.RecomputedTokens += int64(prefixTokens)
 		m.mu.Unlock()
 		c.p.publish(ProcEvent{Kind: EventKVMigrate, Phase: "recompute",
 			Text: fmt.Sprintf("%d tokens recomputed, replica %d -> %d", prefixTokens, home, minID)})
@@ -509,7 +499,7 @@ func (m *migrator) transfer(c *Ctx, f *kvfs.File, root model.CtxHash, span kvfs.
 	k := m.k
 	if err := k.fs.ReserveMigration(span.Pages); err != nil {
 		m.mu.Lock()
-		m.refusedPressure++
+		m.st.RefusedPressure++
 		m.mu.Unlock()
 		return false
 	}
@@ -544,7 +534,7 @@ func (m *migrator) transfer(c *Ctx, f *kvfs.File, root model.CtxHash, span kvfs.
 		// and the prefix index are all unchanged.
 		release()
 		m.mu.Lock()
-		m.abortedTransfers++
+		m.st.TransferAborts++
 		m.mu.Unlock()
 		c.p.publish(ProcEvent{Kind: EventKVMigrate, Phase: "abort",
 			Text: fmt.Sprintf("%d tokens (%d pages), replica %d -> %d: %v",
@@ -556,10 +546,10 @@ func (m *migrator) transfer(c *Ctx, f *kvfs.File, root model.CtxHash, span kvfs.
 	m.idx.setHome(root, to, k.clk.Now())
 	k.kvd.NoteMigrate(f, span.Tokens, d)
 	m.mu.Lock()
-	m.migrations++
-	m.migratedTokens += int64(span.Tokens)
-	m.migratedPages += int64(span.Pages)
-	m.migrateTime += d
+	m.st.Migrations++
+	m.st.MigratedTokens += int64(span.Tokens)
+	m.st.MigratedPages += int64(span.Pages)
+	m.st.MigrateTime += d
 	m.mu.Unlock()
 	k.tracer.Span(trace.Event{
 		At: start, Dur: d, PID: c.p.pid, TID: c.tid,
@@ -582,11 +572,11 @@ func (m *migrator) noteRefusal(in migrateDecision) {
 	defer m.mu.Unlock()
 	switch {
 	case in.Locked:
-		m.refusedLocked++
+		m.st.RefusedLocked++
 	case in.InFlight:
-		m.refusedInFlight++
+		m.st.RefusedInFlight++
 	case in.PressureHigh:
-		m.refusedPressure++
+		m.st.RefusedPressure++
 	}
 }
 
@@ -599,8 +589,8 @@ func (m *migrator) noteRefusal(in migrateDecision) {
 func (m *migrator) noteReplicaCrash(id int) {
 	dropped := m.idx.invalidateHome(id)
 	m.mu.Lock()
-	m.replicaCrashes++
-	m.invalidatedRoots += int64(dropped)
+	m.st.ReplicaCrashes++
+	m.st.InvalidatedRoots += int64(dropped)
 	m.mu.Unlock()
 }
 
@@ -622,24 +612,9 @@ func (m *migrator) stats() MigrationStats {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return MigrationStats{
-		Enabled:          true,
-		Threshold:        m.threshold,
-		InterconnectGbps: m.ic.Gbps(),
-		Roots:            m.idx.size(),
-		Migrations:       m.migrations,
-		MigratedTokens:   m.migratedTokens,
-		MigratedPages:    m.migratedPages,
-		MigrateTime:      m.migrateTime,
-		ColdStarts:       m.coldStarts,
-		RecomputedTokens: m.recomputedTok,
-		RefusedLocked:    m.refusedLocked,
-		RefusedInFlight:  m.refusedInFlight,
-		RefusedPressure:  m.refusedPressure,
-		TransferAborts:   m.abortedTransfers,
-		ReplicaCrashes:   m.replicaCrashes,
-		InvalidatedRoots: m.invalidatedRoots,
-	}
+	st := m.st
+	st.Roots = m.idx.size()
+	return st
 }
 
 // PrefixHome reports which replica the kernel's global prefix index

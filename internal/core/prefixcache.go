@@ -65,27 +65,27 @@ type PrefixConfig struct {
 // PrefixCacheStats is a snapshot of the radix prefix cache, surfaced
 // through Kernel.Stats and the server's /v1/stats prefix_cache block.
 type PrefixCacheStats struct {
-	Enabled     bool
-	ChunkTokens int
+	Enabled     bool `json:"enabled"`
+	ChunkTokens int  `json:"chunk_tokens"`
 	// Nodes is the current tree size; ResidentTokens / SpilledTokens
 	// attribute each node's own chunk to the GPU+host tiers vs the disk
 	// tier (shared interior pages are pinned to the GPU by KVFS, so only
 	// leaf-exclusive chunks ever spill).
-	Nodes          int
-	ResidentTokens int
-	SpilledTokens  int
+	Nodes          int `json:"nodes"`
+	ResidentTokens int `json:"resident_tokens"`
+	SpilledTokens  int `json:"spilled_tokens"`
 	// Lookups counts match walks; Hits those that attached a prefix;
 	// HitTokens the tokens attached instead of prefilled; SavedPrefill
 	// the prefill GPU time those tokens would have cost.
-	Lookups      int64
-	Hits         int64
-	HitTokens    int64
-	SavedPrefill time.Duration
+	Lookups      int64         `json:"lookups"`
+	Hits         int64         `json:"hits"`
+	HitTokens    int64         `json:"hit_tokens"`
+	SavedPrefill time.Duration `json:"saved_prefill_ns"`
 	// Insertions counts nodes created, Evictions nodes dropped by the
 	// MaxNodes cap, Invalidations nodes dropped by replica crashes.
-	Insertions    int64
-	Evictions     int64
-	Invalidations int64
+	Insertions    int64 `json:"insertions"`
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
 }
 
 // prefixNode is one radix-tree node: the cached prefix of depth tokens
@@ -124,14 +124,8 @@ type prefixCache struct {
 	nodes  map[model.CtxHash]*prefixNode
 	seq    int64
 	useSeq int64
-
-	lookups       int64
-	hits          int64
-	hitTokens     int64
-	saved         time.Duration
-	insertions    int64
-	evictions     int64
-	invalidations int64
+	// st holds the counters; stats fills in the tree gauges.
+	st PrefixCacheStats
 }
 
 // newPrefixCache assembles a cache for k, normalizing the chunk size to a
@@ -156,6 +150,7 @@ func newPrefixCache(k *Kernel, cfg PrefixConfig) *prefixCache {
 		chunk:    chunk,
 		maxNodes: maxNodes,
 		nodes:    make(map[model.CtxHash]*prefixNode),
+		st:       PrefixCacheStats{Enabled: true, ChunkTokens: chunk},
 	}
 }
 
@@ -169,7 +164,7 @@ func (pc *prefixCache) match(toks []token.ID) (*prefixNode, int) {
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.lookups++
+	pc.st.Lookups++
 	var best *prefixNode
 	h := model.CtxHash(0)
 	prev := 0
@@ -210,9 +205,9 @@ func (pc *prefixCache) noteAttach(tokens int, saved time.Duration) {
 		return
 	}
 	pc.mu.Lock()
-	pc.hits++
-	pc.hitTokens += int64(tokens)
-	pc.saved += saved
+	pc.st.Hits++
+	pc.st.HitTokens += int64(tokens)
+	pc.st.SavedPrefill += saved
 	pc.mu.Unlock()
 }
 
@@ -260,7 +255,7 @@ func (pc *prefixCache) insert(f *kvfs.File, toks []token.ID, home int) {
 		if p, ok := pc.nodes[parent]; ok {
 			p.children++
 		}
-		pc.insertions++
+		pc.st.Insertions++
 		created = append(created, nf)
 		parent = h
 	}
@@ -314,7 +309,7 @@ func (pc *prefixCache) evictOverCapLocked() []*kvfs.File {
 				p.children--
 			}
 			victims = append(victims, n.file)
-			pc.evictions++
+			pc.st.Evictions++
 		}
 		if len(pc.nodes) == before {
 			break
@@ -347,7 +342,7 @@ func (pc *prefixCache) invalidateHome(replica int) {
 			p.children--
 		}
 		victims = append(victims, n.file)
-		pc.invalidations++
+		pc.st.Invalidations++
 	}
 	for changed := true; changed; {
 		changed = false
@@ -364,7 +359,7 @@ func (pc *prefixCache) invalidateHome(replica int) {
 		for _, n := range orphans {
 			delete(pc.nodes, n.tail)
 			victims = append(victims, n.file)
-			pc.invalidations++
+			pc.st.Invalidations++
 			changed = true
 		}
 	}
@@ -381,18 +376,8 @@ func (pc *prefixCache) stats() PrefixCacheStats {
 		return PrefixCacheStats{}
 	}
 	pc.mu.Lock()
-	st := PrefixCacheStats{
-		Enabled:       true,
-		ChunkTokens:   pc.chunk,
-		Nodes:         len(pc.nodes),
-		Lookups:       pc.lookups,
-		Hits:          pc.hits,
-		HitTokens:     pc.hitTokens,
-		SavedPrefill:  pc.saved,
-		Insertions:    pc.insertions,
-		Evictions:     pc.evictions,
-		Invalidations: pc.invalidations,
-	}
+	st := pc.st
+	st.Nodes = len(pc.nodes)
 	snap := make([]*prefixNode, 0, len(pc.nodes))
 	for _, n := range pc.nodes {
 		snap = append(snap, n)

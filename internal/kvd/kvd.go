@@ -112,47 +112,48 @@ type Event struct {
 // block and must not call back into the daemon.
 type Notify func(Event)
 
-// Stats is a snapshot of daemon counters.
+// Stats is a snapshot of daemon counters. The Daemon counts straight
+// into one; the json tags are the /v1/stats wire schema.
 type Stats struct {
-	Policy    string
-	HighWater float64
-	LowWater  float64
+	Policy    string  `json:"policy"`
+	HighWater float64 `json:"high_water"`
+	LowWater  float64 `json:"low_water"`
 	// Pressure is the instantaneous GPU page usage fraction.
-	Pressure float64
+	Pressure float64 `json:"pressure"`
 	// Tracked is the number of live files under daemon management.
-	Tracked int
+	Tracked int `json:"tracked_files"`
 	// Reclaims counts reclaim passes that offloaded at least one file.
-	Reclaims int64
+	Reclaims int64 `json:"reclaims"`
 	// Offloads counts files offloaded; OffloadedTokens the KV tokens
 	// moved GPU→host.
-	Offloads        int64
-	OffloadedTokens int64
+	Offloads        int64 `json:"offloads"`
+	OffloadedTokens int64 `json:"offloaded_tokens"`
 	// Restores counts policy-evicted files transparently restored on a
 	// later access; RestoredTokens the tokens moved host→GPU, and
 	// RestoredCost the total PCIe time those restores charged — the
 	// price of the eviction policy picking files that turned out to
 	// still be needed, the figure of merit policies compete on.
-	Restores       int64
-	RestoredTokens int64
-	RestoredCost   time.Duration
+	Restores       int64         `json:"restores"`
+	RestoredTokens int64         `json:"restored_tokens"`
+	RestoredCost   time.Duration `json:"restored_cost_ns"`
 	// SwapRestores / SwapRestoredTokens / SwapRestoredCost are the same
 	// ledger for self-preemption swaps (a stalled pred giving back its
 	// own residency): that cost is paid to break allocation standoffs
 	// and is not the eviction policy's doing.
-	SwapRestores       int64
-	SwapRestoredTokens int64
-	SwapRestoredCost   time.Duration
+	SwapRestores       int64         `json:"swap_restores"`
+	SwapRestoredTokens int64         `json:"swap_restored_tokens"`
+	SwapRestoredCost   time.Duration `json:"swap_restored_cost_ns"`
 	// Preemptions counts cooperative preemption episodes: parks of the
 	// longest-idle process plus self-preemptions (a stalled pred swapping
 	// out its own residency to break an allocation standoff).
-	Preemptions int64
+	Preemptions int64 `json:"preemptions"`
 	// Migrations / MigratedTokens / MigratedCost are the cross-replica
 	// ledger: files the kernel's migration engine copied between replicas
 	// over the interconnect (source pages freed after the copy), the KV
 	// tokens moved, and the fabric time charged for them.
-	Migrations     int64
-	MigratedTokens int64
-	MigratedCost   time.Duration
+	Migrations     int64         `json:"migrations"`
+	MigratedTokens int64         `json:"migrated_tokens"`
+	MigratedCost   time.Duration `json:"migrated_cost_ns"`
 	// Spills counts files demoted host→disk; SpilledTokens the KV tokens
 	// moved, net of rollbacks. Spills are free of tensor-transfer time by
 	// design: the snapshot store writes only token metadata, and the
@@ -160,19 +161,19 @@ type Stats struct {
 	// spills undone because the snapshot commit failed: their pages moved
 	// back to host and were subtracted from SpilledTokens, so the ledger
 	// never counts pages as disk-resident without a durable copy.
-	Spills         int64
-	SpilledTokens  int64
-	SpillRollbacks int64
+	Spills         int64 `json:"spills"`
+	SpilledTokens  int64 `json:"spilled_tokens"`
+	SpillRollbacks int64 `json:"spill_rollbacks"`
 	// DiskLoads / DiskLoadedTokens / DiskLoadCost record disk→GPU
 	// re-prefills from the snapshot store and the NVMe+PCIe time charged
 	// for them; DiskRecomputes / DiskRecomputedTokens count the times the
 	// kernel instead chose to recompute a disk-resident prefix because
 	// prefill was estimated cheaper than the load.
-	DiskLoads            int64
-	DiskLoadedTokens     int64
-	DiskLoadCost         time.Duration
-	DiskRecomputes       int64
-	DiskRecomputedTokens int64
+	DiskLoads            int64         `json:"disk_loads"`
+	DiskLoadedTokens     int64         `json:"disk_loaded_tokens"`
+	DiskLoadCost         time.Duration `json:"disk_load_cost_ns"`
+	DiskRecomputes       int64         `json:"disk_recomputes"`
+	DiskRecomputedTokens int64         `json:"disk_recomputed_tokens"`
 }
 
 type entry struct {
@@ -207,27 +208,8 @@ type Daemon struct {
 	pidLast map[int]time.Duration // latest access per live process
 	sinceGC int                   // Tracks since the last entry sweep
 
-	reclaims        int64
-	offloads        int64
-	offloadedTokens int64
-	restores        int64
-	restoredTokens  int64
-	restoredCost    time.Duration
-	swapRestores    int64
-	swapRestoredTok int64
-	swapRestoredC   time.Duration
-	preemptions     int64
-	migrations      int64
-	migratedTokens  int64
-	migratedCost    time.Duration
-	spills          int64
-	spilledTokens   int64
-	spillRollbacks  int64
-	diskLoads       int64
-	diskLoadedTok   int64
-	diskLoadCost    time.Duration
-	diskRecomputes  int64
-	diskRecompTok   int64
+	// st holds the counters; Stats fills in the live gauges.
+	st Stats
 }
 
 // New assembles a daemon over fs, costing restores and recomputes with
@@ -241,14 +223,16 @@ func New(clk *simclock.Clock, fs *kvfs.FS, cost model.CostModel, cfg Config) (*D
 	if err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	return &Daemon{
 		clk:     clk,
 		fs:      fs,
 		cost:    cost,
 		policy:  pol,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		entries: make(map[*kvfs.File]*entry),
 		pidLast: make(map[int]time.Duration),
+		st:      Stats{Policy: pol.Name(), HighWater: cfg.HighWater, LowWater: cfg.LowWater},
 	}, nil
 }
 
@@ -295,8 +279,8 @@ func (d *Daemon) rollbackSpill(f *kvfs.File, tokens int) {
 		return
 	}
 	d.mu.Lock()
-	d.spillRollbacks++
-	d.spilledTokens -= int64(tokens)
+	d.st.SpillRollbacks++
+	d.st.SpilledTokens -= int64(tokens)
 	var notify Notify
 	if e, ok := d.entries[f]; ok {
 		notify = e.notify
@@ -326,9 +310,9 @@ func (d *Daemon) NoteDiskLoad(f *kvfs.File, tokens int, cost time.Duration) {
 		return
 	}
 	d.mu.Lock()
-	d.diskLoads++
-	d.diskLoadedTok += int64(tokens)
-	d.diskLoadCost += cost
+	d.st.DiskLoads++
+	d.st.DiskLoadedTokens += int64(tokens)
+	d.st.DiskLoadCost += cost
 	var notify Notify
 	if e, ok := d.entries[f]; ok {
 		e.offloadReason = ""
@@ -349,8 +333,8 @@ func (d *Daemon) NoteDiskRecompute(f *kvfs.File, tokens int) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.diskRecomputes++
-	d.diskRecompTok += int64(tokens)
+	d.st.DiskRecomputes++
+	d.st.DiskRecomputedTokens += int64(tokens)
 	if e, ok := d.entries[f]; ok {
 		e.offloadReason = ""
 	}
@@ -483,9 +467,9 @@ func (d *Daemon) NoteMigrate(f *kvfs.File, tokens int, cost time.Duration) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.migrations++
-	d.migratedTokens += int64(tokens)
-	d.migratedCost += cost
+	d.st.Migrations++
+	d.st.MigratedTokens += int64(tokens)
+	d.st.MigratedCost += cost
 	if e, ok := d.entries[f]; ok {
 		// A migrated file arrives hot on its new replica.
 		e.lastAccess = d.clk.Now()
@@ -505,13 +489,13 @@ func (d *Daemon) NoteRestore(f *kvfs.File, tokens int, cost time.Duration) {
 	if ok && e.offloadReason != "" {
 		switch e.offloadReason {
 		case "swap":
-			d.swapRestores++
-			d.swapRestoredTok += int64(tokens)
-			d.swapRestoredC += cost
+			d.st.SwapRestores++
+			d.st.SwapRestoredTokens += int64(tokens)
+			d.st.SwapRestoredCost += cost
 		default:
-			d.restores++
-			d.restoredTokens += int64(tokens)
-			d.restoredCost += cost
+			d.st.Restores++
+			d.st.RestoredTokens += int64(tokens)
+			d.st.RestoredCost += cost
 		}
 		e.offloadReason = ""
 		notify = e.notify
@@ -595,15 +579,15 @@ func (d *Daemon) reclaim(needTokens int) int {
 		}
 		freed += n
 		e.offloadReason = "policy"
-		d.offloads++
-		d.offloadedTokens += int64(n)
+		d.st.Offloads++
+		d.st.OffloadedTokens += int64(n)
 		if e.notify != nil {
 			notify, tokens := e.notify, n
 			fired = append(fired, func() { notify(Event{Phase: "offload", Tokens: tokens, Policy: pol}) })
 		}
 	}
 	if freed > 0 {
-		d.reclaims++
+		d.st.Reclaims++
 	}
 	d.mu.Unlock()
 	for _, fn := range fired {
@@ -706,8 +690,8 @@ func (d *Daemon) spill(needTokens int) int {
 			continue // ErrNoDisk or nothing demotable: try the next one
 		}
 		freed += n
-		d.spills++
-		d.spilledTokens += int64(n)
+		d.st.Spills++
+		d.st.SpilledTokens += int64(n)
 		if e.notify != nil {
 			notify, tokens := e.notify, n
 			fired = append(fired, func() { notify(Event{Phase: "spill", Tokens: tokens, Policy: pol}) })
@@ -777,9 +761,9 @@ func (d *Daemon) Preempt(f *kvfs.File) int {
 	var notify Notify
 	if n > 0 {
 		e.offloadReason = "swap"
-		d.offloads++
-		d.offloadedTokens += int64(n)
-		d.preemptions++
+		d.st.Offloads++
+		d.st.OffloadedTokens += int64(n)
+		d.st.Preemptions++
 		notify = e.notify
 	}
 	pol := d.policy.Name()
@@ -834,7 +818,7 @@ func (d *Daemon) NotePark(pid int) {
 		return
 	}
 	d.mu.Lock()
-	d.preemptions++
+	d.st.Preemptions++
 	var cands []*entry
 	for _, e := range d.entries {
 		if e.pid == pid && e.notify != nil {
@@ -882,32 +866,8 @@ func (d *Daemon) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.gcPidsLocked() // Tracked counts live files, not removed ones
-	return Stats{
-		Policy:               d.policy.Name(),
-		HighWater:            d.cfg.HighWater,
-		LowWater:             d.cfg.LowWater,
-		Pressure:             pressure,
-		Tracked:              len(d.entries),
-		Reclaims:             d.reclaims,
-		Offloads:             d.offloads,
-		OffloadedTokens:      d.offloadedTokens,
-		Restores:             d.restores,
-		RestoredTokens:       d.restoredTokens,
-		RestoredCost:         d.restoredCost,
-		SwapRestores:         d.swapRestores,
-		SwapRestoredTokens:   d.swapRestoredTok,
-		SwapRestoredCost:     d.swapRestoredC,
-		Preemptions:          d.preemptions,
-		Migrations:           d.migrations,
-		MigratedTokens:       d.migratedTokens,
-		MigratedCost:         d.migratedCost,
-		Spills:               d.spills,
-		SpilledTokens:        d.spilledTokens,
-		SpillRollbacks:       d.spillRollbacks,
-		DiskLoads:            d.diskLoads,
-		DiskLoadedTokens:     d.diskLoadedTok,
-		DiskLoadCost:         d.diskLoadCost,
-		DiskRecomputes:       d.diskRecomputes,
-		DiskRecomputedTokens: d.diskRecompTok,
-	}
+	st := d.st
+	st.Pressure = pressure
+	st.Tracked = len(d.entries)
+	return st
 }

@@ -132,27 +132,27 @@ func DefaultConfig() Config {
 
 // Stats is a snapshot of file-system counters.
 type Stats struct {
-	GPUPages     int
-	HostPages    int
-	GPUPageCap   int
-	HostPageCap  int
-	GPUPeakPages int
+	GPUPages     int `json:"gpu_pages"`
+	HostPages    int `json:"host_pages"`
+	GPUPageCap   int `json:"gpu_page_cap"`
+	HostPageCap  int `json:"host_page_cap"`
+	GPUPeakPages int `json:"gpu_peak_pages"`
 	// DiskPages is the snapshot-store footprint in pages: every page
 	// with a durable copy on the disk tier, whether or not it also has a
 	// live GPU or host copy (see DiskTier). DiskPeakPages is its
 	// high-water mark.
-	DiskPages     int
-	DiskPageCap   int
-	DiskPeakPages int
-	Files         int
-	Forks         int64
-	COWCopies     int64
+	DiskPages     int   `json:"disk_pages"`
+	DiskPageCap   int   `json:"disk_page_cap"`
+	DiskPeakPages int   `json:"disk_peak_pages"`
+	Files         int   `json:"files"`
+	Forks         int64 `json:"forks"`
+	COWCopies     int64 `json:"cow_copies"`
 	// Shares counts cross-tree prefix adoptions (AdoptPrefix): page-aligned
 	// prefixes attached to an unrelated empty file by bumping refcounts,
 	// the mechanism behind the kernel's radix prefix cache.
-	Shares     int64
-	OOMErrors  int64
-	PageTokens int
+	Shares     int64 `json:"shares"`
+	OOMErrors  int64 `json:"oom_errors"`
+	PageTokens int   `json:"page_tokens"`
 }
 
 // GPUTokens reports the worst-case token capacity equivalent of used GPU

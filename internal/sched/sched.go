@@ -211,37 +211,38 @@ type Config struct {
 	OnCrash func(replica int)
 }
 
-// ReplicaStats is a snapshot of one replica's counters.
+// ReplicaStats is a snapshot of one replica's counters. Here and in
+// LaneStats and Stats the json tags are the /v1/stats wire schema.
 type ReplicaStats struct {
-	ID     int
-	Calls  int64
-	Tokens int64
+	ID     int   `json:"id"`
+	Calls  int64 `json:"calls"`
+	Tokens int64 `json:"tokens"`
 	// ExecTokens is the sum of step slices the GPU actually executed;
 	// when every submitted call has completed it equals Tokens — the
 	// invariant preemption and resumption must preserve.
-	ExecTokens  int64
-	Batches     int64
-	Steps       int64
-	AvgBatch    float64
-	AvgTokens   float64
-	Preemptions int64
+	ExecTokens  int64   `json:"exec_tokens"`
+	Batches     int64   `json:"batches"`
+	Steps       int64   `json:"steps"`
+	AvgBatch    float64 `json:"avg_batch"`
+	AvgTokens   float64 `json:"avg_tokens"`
+	Preemptions int64   `json:"preemptions"`
 	// Crashes counts crash-restarts of this executor; Requeued is the
 	// number of calls its crashes pushed back for re-dispatch; LostTokens
 	// is the executed-but-unretired progress those crashes discarded
 	// (re-executed after requeue, never re-billed).
-	Crashes  int64
-	Requeued int64
+	Crashes  int64 `json:"crashes"`
+	Requeued int64 `json:"requeued"`
 	// SpecRounds counts draft/verify rounds this executor ran;
 	// SpecDrafted and SpecAccepted are the draft tokens proposed and
 	// accepted across them (their ratio is the realized acceptance rate).
-	SpecRounds   int64
-	SpecDrafted  int64
-	SpecAccepted int64
-	LostTokens   int64
-	GPUBusy      time.Duration
-	Utilization  float64 // GPUBusy / elapsed virtual time
-	DelayMean    time.Duration
-	DelayP99     time.Duration
+	SpecRounds   int64         `json:"spec_rounds"`
+	SpecDrafted  int64         `json:"spec_drafted"`
+	SpecAccepted int64         `json:"spec_accepted"`
+	LostTokens   int64         `json:"lost_tokens"`
+	GPUBusy      time.Duration `json:"gpu_busy_ns"`
+	Utilization  float64       `json:"utilization"` // GPUBusy / elapsed virtual time
+	DelayMean    time.Duration `json:"delay_mean_ns"`
+	DelayP99     time.Duration `json:"delay_p99_ns"`
 }
 
 // LaneStats is one priority lane's aggregate view across replicas. Delay
@@ -251,13 +252,13 @@ type ReplicaStats struct {
 // observes; for a long sliced call it is the time other lanes' work (and
 // preemption) inserted into its execution.
 type LaneStats struct {
-	Lane        string
-	Calls       int64
-	Preemptions int64
-	DelayMean   time.Duration
-	DelayP50    time.Duration
-	DelayP99    time.Duration
-	DelayMax    time.Duration
+	Lane        string        `json:"lane"`
+	Calls       int64         `json:"calls"`
+	Preemptions int64         `json:"preemptions"`
+	DelayMean   time.Duration `json:"delay_mean_ns"`
+	DelayP50    time.Duration `json:"delay_p50_ns"`
+	DelayP99    time.Duration `json:"delay_p99_ns"`
+	DelayMax    time.Duration `json:"delay_max_ns"`
 }
 
 // Stats is a snapshot of scheduler counters. The top-level fields
@@ -266,41 +267,44 @@ type LaneStats struct {
 // and Steps both count GPU iterations — under iteration-level execution
 // the cut-batch/forward-pass distinction has collapsed into one loop.
 type Stats struct {
-	Calls  int64
-	Tokens int64
+	Calls  int64 `json:"calls"`
+	Tokens int64 `json:"tokens"`
 	// ExecutedTokens sums the slices executed across replicas; it equals
 	// Tokens + LostTokens once all submitted calls have completed —
 	// crash-discarded progress is re-executed, everything else exactly
 	// once.
-	ExecutedTokens int64
-	Batches        int64
-	Steps          int64
-	AvgBatch       float64
-	AvgTokens      float64
-	GPUBusy        time.Duration
-	Utilization    float64
-	Dispatcher     string
-	PriorityPolicy string
+	ExecutedTokens int64         `json:"executed_tokens"`
+	Batches        int64         `json:"batches"`
+	Steps          int64         `json:"steps"`
+	AvgBatch       float64       `json:"avg_batch"`
+	AvgTokens      float64       `json:"avg_tokens"`
+	GPUBusy        time.Duration `json:"gpu_busy_ns"`
+	Utilization    float64       `json:"utilization"`
+	Dispatcher     string        `json:"dispatcher"`
+	PriorityPolicy string        `json:"priority_policy"`
+	// PrefillChunk is the per-iteration prefill-slice bound; 0 when
+	// chunked prefill is disabled.
+	PrefillChunk int `json:"prefill_chunk"`
 	// Preemptions counts iteration-boundary preemptions: a mid-flight
 	// call descheduled because higher-lane work filled the step budget.
-	Preemptions int64
+	Preemptions int64 `json:"preemptions"`
 	// Crashes, Requeued, and LostTokens aggregate the per-replica
 	// crash-restart counters.
-	Crashes    int64
-	Requeued   int64
-	LostTokens int64
+	Crashes    int64 `json:"crashes"`
+	Requeued   int64 `json:"requeued"`
+	LostTokens int64 `json:"lost_tokens"`
 	// SpecRounds, SpecDrafted, and SpecAccepted aggregate the
 	// speculative-decoding counters across replicas.
-	SpecRounds   int64
-	SpecDrafted  int64
-	SpecAccepted int64
+	SpecRounds   int64 `json:"spec_rounds"`
+	SpecDrafted  int64 `json:"spec_drafted"`
+	SpecAccepted int64 `json:"spec_accepted"`
 	// AdmitDeferred counts calls the pressure-aware admission gate held
 	// back at least once; AdmitWait is the total virtual time spent
 	// parked at admission.
-	AdmitDeferred int64
-	AdmitWait     time.Duration
-	Lanes         []LaneStats
-	Replicas      []ReplicaStats
+	AdmitDeferred int64          `json:"admit_deferred"`
+	AdmitWait     time.Duration  `json:"admit_wait_ns"`
+	Lanes         []LaneStats    `json:"lanes"`
+	Replicas      []ReplicaStats `json:"replicas"`
 }
 
 // Scheduler is the batch inference scheduler plus the simulated GPU
@@ -324,13 +328,12 @@ type Scheduler struct {
 	crashCheck   func(int) bool
 	onCrash      func(int)
 
-	mu            sync.Mutex
-	calls         int64
-	tokens        int64
-	laneCalls     [NumLanes]int64
-	lanePreempts  [NumLanes]int64
-	admitDeferred int64
-	admitWait     time.Duration
+	mu sync.Mutex
+	// st holds the scheduler-level counters (Calls, Tokens, AdmitDeferred,
+	// AdmitWait) and fixed names; lanes the per-lane Calls and
+	// Preemptions. Stats adds the replica rollups and histograms.
+	st    Stats
+	lanes [NumLanes]LaneStats
 }
 
 // replica is one simulated GPU executor with its own iteration loop.
@@ -350,22 +353,12 @@ type replica struct {
 	lastArr      time.Duration
 	haveArr      bool
 	ewmaGap      float64 // seconds, over arrivals dispatched here
-	calls        int64
-	tokens       int64
-	execTokens   int64
-	batches      int64
-	steps        int64
-	preemptions  int64
-	crashes      int64
-	requeued     int64
-	lostTokens   int64
-	specRounds   int64
-	specDrafted  int64
-	specAccepted int64
-	batchW       metrics.Welford
-	tokensW      metrics.Welford
-	busy         time.Duration
-	delayHist    *metrics.Histogram
+	// st holds the replica's counters; Stats fills in the means,
+	// utilization, and delay quantiles.
+	st        ReplicaStats
+	batchW    metrics.Welford
+	tokensW   metrics.Welford
+	delayHist *metrics.Histogram
 }
 
 // New starts a scheduler and its replica actors on clk.
@@ -405,15 +398,24 @@ func New(clk *simclock.Clock, cfg Config) *Scheduler {
 		admitMaxWait: cfg.AdmitMaxWait,
 		crashCheck:   cfg.CrashCheck,
 		onCrash:      cfg.OnCrash,
+		st: Stats{
+			Dispatcher:     cfg.Dispatcher.Name(),
+			PriorityPolicy: cfg.PriorityPolicy.Name(),
+			PrefillChunk:   cfg.PrefillChunk,
+		},
 	}
 	for i := range s.laneDelay {
 		s.laneDelay[i] = metrics.NewHistogram()
+	}
+	for _, p := range Priorities {
+		s.lanes[p.laneIndex()].Lane = p.String()
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		r := &replica{
 			id:        i,
 			s:         s,
 			queue:     simclock.NewQueue[*call](clk),
+			st:        ReplicaStats{ID: i},
 			delayHist: metrics.NewHistogram(),
 		}
 		s.replicas = append(s.replicas, r)
@@ -458,30 +460,19 @@ func (s *Scheduler) ReplicaQueueDelay(i int) *metrics.Histogram {
 // replica.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
-	st := Stats{
-		Calls:          s.calls,
-		Tokens:         s.tokens,
-		Dispatcher:     s.dispatcher.Name(),
-		PriorityPolicy: s.prio.Name(),
-		AdmitDeferred:  s.admitDeferred,
-		AdmitWait:      s.admitWait,
-	}
-	laneCalls := s.laneCalls
-	lanePre := s.lanePreempts
+	st := s.st
+	lanes := s.lanes
 	s.mu.Unlock()
 
 	for _, p := range Priorities {
+		ls := lanes[p.laneIndex()]
 		h := s.laneDelay[p.laneIndex()]
-		st.Lanes = append(st.Lanes, LaneStats{
-			Lane:        p.String(),
-			Calls:       laneCalls[p.laneIndex()],
-			Preemptions: lanePre[p.laneIndex()],
-			DelayMean:   h.Mean(),
-			DelayP50:    h.Quantile(0.50),
-			DelayP99:    h.Quantile(0.99),
-			DelayMax:    h.Max(),
-		})
-		st.Preemptions += lanePre[p.laneIndex()]
+		ls.DelayMean = h.Mean()
+		ls.DelayP50 = h.Quantile(0.50)
+		ls.DelayP99 = h.Quantile(0.99)
+		ls.DelayMax = h.Max()
+		st.Lanes = append(st.Lanes, ls)
+		st.Preemptions += ls.Preemptions
 	}
 
 	var batchSum, batchN, tokSum float64
@@ -490,24 +481,9 @@ func (s *Scheduler) Stats() Stats {
 		// Read the clock while holding r.mu: busy is frozen, so it cannot
 		// run ahead of now and utilization stays <= 1.
 		rNow := s.clk.Now()
-		rs := ReplicaStats{
-			ID:           r.id,
-			Calls:        r.calls,
-			Tokens:       r.tokens,
-			ExecTokens:   r.execTokens,
-			Batches:      r.batches,
-			Steps:        r.steps,
-			AvgBatch:     r.batchW.Mean(),
-			AvgTokens:    r.tokensW.Mean(),
-			Preemptions:  r.preemptions,
-			Crashes:      r.crashes,
-			Requeued:     r.requeued,
-			SpecRounds:   r.specRounds,
-			SpecDrafted:  r.specDrafted,
-			SpecAccepted: r.specAccepted,
-			LostTokens:   r.lostTokens,
-			GPUBusy:      r.busy,
-		}
+		rs := r.st
+		rs.AvgBatch = r.batchW.Mean()
+		rs.AvgTokens = r.tokensW.Mean()
 		batchSum += r.batchW.Sum()
 		batchN += float64(r.batchW.N())
 		tokSum += r.tokensW.Sum()
@@ -564,9 +540,9 @@ func (s *Scheduler) SubmitCall(meta Call) error {
 	prio := meta.Priority.clamp()
 	now := s.clk.Now()
 	s.mu.Lock()
-	s.calls++
-	s.tokens += int64(meta.Tokens)
-	s.laneCalls[prio.laneIndex()]++
+	s.st.Calls++
+	s.st.Tokens += int64(meta.Tokens)
+	s.lanes[prio.laneIndex()].Calls++
 	s.mu.Unlock()
 
 	r := s.route(meta, now)
@@ -578,8 +554,8 @@ func (s *Scheduler) SubmitCall(meta Call) error {
 	}
 	r.lastArr = now
 	r.haveArr = true
-	r.calls++
-	r.tokens += int64(meta.Tokens)
+	r.st.Calls++
+	r.st.Tokens += int64(meta.Tokens)
 	r.queuedTokens += meta.Tokens
 	r.mu.Unlock()
 
@@ -615,7 +591,7 @@ func (s *Scheduler) Admit() error {
 		return nil
 	}
 	s.mu.Lock()
-	s.admitDeferred++
+	s.st.AdmitDeferred++
 	s.mu.Unlock()
 	var waited time.Duration
 	for waited < s.admitMaxWait {
@@ -628,7 +604,7 @@ func (s *Scheduler) Admit() error {
 		}
 	}
 	s.mu.Lock()
-	s.admitWait += waited
+	s.st.AdmitWait += waited
 	s.mu.Unlock()
 	return nil
 }
@@ -755,8 +731,8 @@ func (r *replica) crash() {
 
 	var lost int64
 	r.mu.Lock()
-	r.crashes++
-	r.requeued += int64(len(victims) + len(queued))
+	r.st.Crashes++
+	r.st.Requeued += int64(len(victims) + len(queued))
 	for _, c := range victims {
 		lost += int64(c.tokens - c.remaining)
 		r.inflight -= c.remaining
@@ -764,7 +740,7 @@ func (r *replica) crash() {
 	for _, c := range queued {
 		r.queuedTokens -= c.tokens
 	}
-	r.lostTokens += lost
+	r.st.LostTokens += lost
 	// The executor restarts cold: its arrival-rate estimate dies with it.
 	r.haveArr = false
 	r.ewmaGap = 0
@@ -971,10 +947,10 @@ func (r *replica) iterate() error {
 		}
 		c.scheduled = false
 		r.mu.Lock()
-		r.preemptions++
+		r.st.Preemptions++
 		r.mu.Unlock()
 		s.mu.Lock()
-		s.lanePreempts[c.prio.laneIndex()]++
+		s.lanes[c.prio.laneIndex()].Preemptions++
 		s.mu.Unlock()
 		if c.onPreempt != nil {
 			c.onPreempt(true)
@@ -1003,18 +979,18 @@ func (r *replica) iterate() error {
 	err := s.clk.Sleep(d)
 	r.mu.Lock()
 	if err == nil {
-		r.busy += d
-		r.batches++
-		r.steps++
-		r.execTokens += int64(stepProgress)
+		r.st.GPUBusy += d
+		r.st.Batches++
+		r.st.Steps++
+		r.st.ExecTokens += int64(stepProgress)
 		r.batchW.Add(float64(len(selected)))
 		r.tokensW.Add(float64(stepCompute))
 		r.inflight -= stepProgress
 		for i := range selected {
 			if specDraft[i] > 0 {
-				r.specRounds++
-				r.specDrafted += int64(specDraft[i])
-				r.specAccepted += int64(progress[i] - 1)
+				r.st.SpecRounds++
+				r.st.SpecDrafted += int64(specDraft[i])
+				r.st.SpecAccepted += int64(progress[i] - 1)
 			}
 		}
 	}

@@ -107,20 +107,23 @@ func TestStatsLanes(t *testing.T) {
 		t.Fatalf("stats: %v", err)
 	}
 	defer resp.Body.Close()
-	var st struct {
-		PriorityPolicy string `json:"priority_policy"`
-		Preemptions    *int64 `json:"preemptions"`
-		Lanes          []struct {
-			Lane   string `json:"lane"`
-			Calls  int64  `json:"calls"`
-			P99    *int64 `json:"queue_delay_p99_us"`
-			P50    *int64 `json:"queue_delay_p50_us"`
-			Preems *int64 `json:"preemptions"`
-		} `json:"lanes"`
+	var body struct {
+		Sched struct {
+			PriorityPolicy string `json:"priority_policy"`
+			Preemptions    *int64 `json:"preemptions"`
+			Lanes          []struct {
+				Lane   string `json:"lane"`
+				Calls  int64  `json:"calls"`
+				P99    *int64 `json:"delay_p99_ns"`
+				P50    *int64 `json:"delay_p50_ns"`
+				Preems *int64 `json:"preemptions"`
+			} `json:"lanes"`
+		} `json:"sched"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("decode stats: %v", err)
 	}
+	st := body.Sched
 	if st.PriorityPolicy != "lanes" {
 		t.Fatalf("priority_policy = %q", st.PriorityPolicy)
 	}

@@ -175,134 +175,15 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// stats serves core.Stats as is: its json tags are the wire schema
+// (documented in docs/ARCHITECTURE.md).
 func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET required")
 		return
 	}
-	st := s.k.Stats()
-	replicas := make([]map[string]any, 0, len(st.Sched.Replicas))
-	for _, rs := range st.Sched.Replicas {
-		replicas = append(replicas, map[string]any{
-			"id":             rs.ID,
-			"calls":          rs.Calls,
-			"tokens":         rs.Tokens,
-			"batches":        rs.Batches,
-			"steps":          rs.Steps,
-			"avg_batch":      rs.AvgBatch,
-			"preemptions":    rs.Preemptions,
-			"utilization":    rs.Utilization,
-			"busy_virtual":   rs.GPUBusy.String(),
-			"queue_delay_us": rs.DelayMean.Microseconds(),
-		})
-	}
-	lanes := make([]map[string]any, 0, len(st.Sched.Lanes))
-	for _, ls := range st.Sched.Lanes {
-		lanes = append(lanes, map[string]any{
-			"lane":               ls.Lane,
-			"calls":              ls.Calls,
-			"preemptions":        ls.Preemptions,
-			"queue_delay_p50_us": ls.DelayP50.Microseconds(),
-			"queue_delay_p99_us": ls.DelayP99.Microseconds(),
-			"queue_delay_max_us": ls.DelayMax.Microseconds(),
-		})
-	}
-	spec := map[string]any{
-		"enabled":         false,
-		"rounds":          st.Sched.SpecRounds,
-		"drafted_tokens":  st.Sched.SpecDrafted,
-		"accepted_tokens": st.Sched.SpecAccepted,
-	}
-	if sc := s.k.SpecDecode(); sc != nil {
-		spec["enabled"] = true
-		spec["draft"] = sc.Draft
-		spec["window"] = sc.Window
-		if st.Sched.SpecDrafted > 0 {
-			spec["accept_rate"] = float64(st.Sched.SpecAccepted) / float64(st.Sched.SpecDrafted)
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"processes":       st.Processes,
-		"pred_calls":      st.PredCalls,
-		"pred_tokens":     st.PredTokens,
-		"kv_calls":        st.KVCalls,
-		"tool_calls":      st.ToolCalls,
-		"ipc_messages":    st.IPCMessages,
-		"gpu_pages":       st.FS.GPUPages,
-		"gpu_page_cap":    st.FS.GPUPageCap,
-		"gpu_busy":        st.Sched.Utilization,
-		"avg_batch":       st.Sched.AvgBatch,
-		"gpus":            len(st.Sched.Replicas),
-		"dispatcher":      st.Sched.Dispatcher,
-		"priority_policy": st.Sched.PriorityPolicy,
-		"preemptions":     st.Sched.Preemptions,
-		"prefill_chunk":   s.k.Scheduler().PrefillChunk(),
-		"spec":            spec,
-		"lanes":           lanes,
-		"admit_deferred":  st.Sched.AdmitDeferred,
-		"admit_wait":      st.Sched.AdmitWait.String(),
-		"kvd": map[string]any{
-			"policy":             st.KVD.Policy,
-			"high_water":         st.KVD.HighWater,
-			"low_water":          st.KVD.LowWater,
-			"pressure":           st.KVD.Pressure,
-			"tracked_files":      st.KVD.Tracked,
-			"reclaims":           st.KVD.Reclaims,
-			"offloads":           st.KVD.Offloads,
-			"offloaded_tokens":   st.KVD.OffloadedTokens,
-			"restores":           st.KVD.Restores,
-			"restored_tokens":    st.KVD.RestoredTokens,
-			"restored_cost":      st.KVD.RestoredCost.String(),
-			"swap_restores":      st.KVD.SwapRestores,
-			"swap_restored_cost": st.KVD.SwapRestoredCost.String(),
-			"preemptions":        st.KVD.Preemptions,
-		},
-		"disk": map[string]any{
-			"enabled":           st.FS.DiskPageCap > 0,
-			"disk_pages":        st.FS.DiskPages,
-			"disk_page_cap":     st.FS.DiskPageCap,
-			"disk_peak_pages":   st.FS.DiskPeakPages,
-			"spills":            st.KVD.Spills,
-			"spilled_tokens":    st.KVD.SpilledTokens,
-			"loads":             st.KVD.DiskLoads,
-			"loaded_tokens":     st.KVD.DiskLoadedTokens,
-			"load_cost":         st.KVD.DiskLoadCost.String(),
-			"recomputes":        st.KVD.DiskRecomputes,
-			"recomputed_tokens": st.KVD.DiskRecomputedTokens,
-		},
-		"migration": map[string]any{
-			"enabled":           st.Migration.Enabled,
-			"threshold":         st.Migration.Threshold,
-			"interconnect_gbps": st.Migration.InterconnectGbps,
-			"prefix_roots":      st.Migration.Roots,
-			"migrations":        st.Migration.Migrations,
-			"migrated_tokens":   st.Migration.MigratedTokens,
-			"migrated_pages":    st.Migration.MigratedPages,
-			"migrate_time":      st.Migration.MigrateTime.String(),
-			"cold_starts":       st.Migration.ColdStarts,
-			"recomputed_tokens": st.Migration.RecomputedTokens,
-			"refused_locked":    st.Migration.RefusedLocked,
-			"refused_inflight":  st.Migration.RefusedInFlight,
-			"refused_pressure":  st.Migration.RefusedPressure,
-		},
-		"prefix_cache": map[string]any{
-			"enabled":          st.PrefixCache.Enabled,
-			"chunk_tokens":     st.PrefixCache.ChunkTokens,
-			"nodes":            st.PrefixCache.Nodes,
-			"resident_tokens":  st.PrefixCache.ResidentTokens,
-			"spilled_tokens":   st.PrefixCache.SpilledTokens,
-			"lookups":          st.PrefixCache.Lookups,
-			"hits":             st.PrefixCache.Hits,
-			"hit_tokens":       st.PrefixCache.HitTokens,
-			"saved_prefill_ms": float64(st.PrefixCache.SavedPrefill) / float64(time.Millisecond),
-			"insertions":       st.PrefixCache.Insertions,
-			"evictions":        st.PrefixCache.Evictions,
-			"invalidations":    st.PrefixCache.Invalidations,
-		},
-		"replicas":     replicas,
-		"virtual_time": s.clk.Now().String(),
-	})
+	json.NewEncoder(w).Encode(s.k.Stats())
 }
 
 // programResponse is the /v1/programs and /v1/completions reply.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -66,29 +67,72 @@ func TestHealthAndStats(t *testing.T) {
 	var st map[string]any
 	json.NewDecoder(resp.Body).Decode(&st)
 	resp.Body.Close()
-	if _, ok := st["gpu_page_cap"]; !ok {
+	fs, _ := st["fs"].(map[string]any)
+	if _, ok := fs["gpu_page_cap"]; !ok {
 		t.Fatalf("stats missing fields: %v", st)
 	}
-	if got := st["gpus"]; got != float64(2) {
-		t.Fatalf("gpus = %v, want 2", got)
-	}
-	if got := st["dispatcher"]; got != "least-loaded" {
+	sch, _ := st["sched"].(map[string]any)
+	if got := sch["dispatcher"]; got != "least-loaded" {
 		t.Fatalf("dispatcher = %v", got)
 	}
-	replicas, ok := st["replicas"].([]any)
+	replicas, ok := sch["replicas"].([]any)
 	if !ok || len(replicas) != 2 {
-		t.Fatalf("replicas rollup missing: %v", st["replicas"])
+		t.Fatalf("replicas rollup missing: %v", sch["replicas"])
 	}
 	for i, r := range replicas {
 		m, ok := r.(map[string]any)
 		if !ok {
 			t.Fatalf("replica %d not an object: %v", i, r)
 		}
-		for _, field := range []string{"id", "calls", "utilization", "avg_batch", "queue_delay_us"} {
+		for _, field := range []string{"id", "calls", "utilization", "avg_batch", "delay_mean_ns"} {
 			if _, ok := m[field]; !ok {
 				t.Fatalf("replica %d missing %q: %v", i, field, m)
 			}
 		}
+	}
+}
+
+// TestStatsRoundTrip checks /v1/stats is core.Stats on the wire: the
+// body decodes into the typed struct with no unknown key, and every
+// counter equals the kernel's own snapshot. Only the clock-derived
+// utilization ratios and the virtual time may differ between the two
+// reads.
+func TestStatsRoundTrip(t *testing.T) {
+	srv, clk := newServer(t)
+	defer clk.Shutdown()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, prompt := range []string{"round trip one", "round trip two", "round trip one"} {
+		if resp, out := post(t, ts, "/v1/completions",
+			`{"prompt":"`+prompt+`","max_tokens":8}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("completion: status %d: %+v", resp.StatusCode, out)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wire core.Stats
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wire); err != nil {
+		t.Fatalf("decode /v1/stats into core.Stats: %v", err)
+	}
+	want := srv.k.Stats()
+	if want.PredCalls == 0 || want.Sched.Tokens == 0 {
+		t.Fatalf("no traffic recorded: %+v", want)
+	}
+	for _, st := range []*core.Stats{&wire, &want} {
+		st.VirtualTime = 0
+		st.Sched.Utilization = 0
+		for i := range st.Sched.Replicas {
+			st.Sched.Replicas[i].Utilization = 0
+		}
+	}
+	if !reflect.DeepEqual(wire, want) {
+		t.Fatalf("/v1/stats differs from Kernel.Stats:\n wire %+v\n want %+v", wire, want)
 	}
 }
 
