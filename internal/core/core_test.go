@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kvd"
 	"repro/internal/kvfs"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -675,5 +676,80 @@ func TestDraftModelPred(t *testing.T) {
 	})
 	if draftTime >= targetTime {
 		t.Fatalf("draft (%v) not cheaper than target (%v)", draftTime, targetTime)
+	}
+}
+
+// TestRestoreLedgerCloses checks that the kernel's restore time is fully
+// attributed in the memory daemon's ledgers: agents whose KV the kernel
+// offloads across tool waits and the daemon's policy evicts under GPU
+// pressure restore it on their next pred, and restore_time equals the
+// sum of the policy, swap and tool restored costs.
+func TestRestoreLedgerCloses(t *testing.T) {
+	clk := simclock.New()
+	bpt := model.A100Llama13B().KVBytesPerToken
+	k := New(clk, Config{
+		Models: map[string]*model.Model{"llama-13b": model.New(model.Llama13B())},
+		FS: kvfs.Config{
+			PageTokens:    16,
+			GPUBytes:      512 * bpt,
+			HostBytes:     512 * bpt * 16,
+			BytesPerToken: bpt,
+		},
+		Policy: sched.Immediate{},
+		KV:     kvd.Config{Policy: "lru"},
+	})
+	k.RegisterTool("search", Tool{Latency: 80 * time.Millisecond})
+	agent := func(seed int) Program {
+		return func(ctx *Ctx) error {
+			f, err := ctx.KvAnon()
+			if err != nil {
+				return err
+			}
+			defer f.Remove()
+			toks := make([]token.ID, 96)
+			pos := make([]int, len(toks))
+			for i := range toks {
+				toks[i], pos[i] = token.ID(10+seed*100+i), i
+			}
+			if _, err := ctx.Pred(f, toks, pos); err != nil {
+				return err
+			}
+			for round := 0; round < 4; round++ {
+				if seed%2 == 0 || round%2 == 0 {
+					if _, err := ctx.Call("search", ""); err != nil {
+						return err
+					}
+				}
+				for i := 0; i < 4; i++ {
+					if _, err := ctx.Pred(f, []token.ID{token.ID(7 + i)}, []int{f.Len()}); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+	}
+	drive(t, clk, func() {
+		var ps []*Process
+		for i := 0; i < 6; i++ {
+			ps = append(ps, k.Submit("u", agent(i)))
+		}
+		for _, p := range ps {
+			if err := p.Wait(); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	st := k.Stats()
+	kv := st.KVD
+	if kv.ToolOffloads == 0 || kv.ToolRestores == 0 || kv.Restores == 0 {
+		t.Fatalf("want tool offloads and both policy and tool restores, got %+v", kv)
+	}
+	if kv.ToolRestoredTokens > kv.ToolOffloadedTokens {
+		t.Errorf("tool restored %d tokens of %d offloaded", kv.ToolRestoredTokens, kv.ToolOffloadedTokens)
+	}
+	if sum := kv.RestoredCost + kv.SwapRestoredCost + kv.ToolRestoredCost; st.RestoreTime != sum {
+		t.Fatalf("restore_time %v != policy %v + swap %v + tool %v",
+			st.RestoreTime, kv.RestoredCost, kv.SwapRestoredCost, kv.ToolRestoredCost)
 	}
 }

@@ -543,22 +543,14 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 			// GPU now and no later path would bill them. Tokens still on
 			// the host are the next pred's problem (ensureResident).
 			n, _ := f.Restore()
-			var d time.Duration
-			if n > 0 {
-				d = cost.TransferTime(n)
-				k.restoreTime.Add(int64(d))
-				k.kvd.NoteRestore(f, n, d)
-			}
+			d := k.billRestore(f, n, cost)
 			if !f.GPUResident() {
 				// The daemon spilled part of the file down to disk while
 				// this call sat preempted: load it back at NVMe+PCIe cost.
 				// No recompute option here — the call's batch entry is
 				// already sized.
-				if moved, _ := f.PromoteDisk(); moved > 0 {
-					ld := cost.DiskReadTime(cost.KVBytes(moved)) + cost.TransferTime(moved)
-					k.kvd.NoteDiskLoad(f, moved, ld)
-					d += ld
-				}
+				moved, _ := f.PromoteDisk()
+				d += k.billDiskLoad(f, moved, cost)
 			}
 			return d
 		}
@@ -684,10 +676,7 @@ func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel, allowRecompute 
 		return err
 	})
 	if restored > 0 {
-		d := cost.TransferTime(restored)
-		k.restoreTime.Add(int64(d))
-		k.kvd.NoteRestore(f, restored, d)
-		if err := k.clk.Sleep(d); err != nil {
+		if err := k.clk.Sleep(k.billRestore(f, restored, cost)); err != nil {
 			return 0, err
 		}
 		k.tracer.Span(trace.Event{
@@ -703,8 +692,7 @@ func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel, allowRecompute 
 	// cross-replica engine (migrate.go), one level down. The durable copy
 	// stays behind either way; only the billing differs.
 	dstart := k.clk.Now()
-	loadCost := cost.DiskReadTime(cost.KVBytes(disk)) + cost.TransferTime(disk)
-	recompute := allowRecompute && time.Duration(disk)*cost.PerToken < loadCost
+	recompute := allowRecompute && time.Duration(disk)*cost.PerToken < cost.DiskLoadTime(disk)
 	promoted := 0
 	perr := k.withReclaim(disk, func() error {
 		n, err := f.PromoteDisk()
@@ -715,12 +703,8 @@ func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel, allowRecompute 
 		if recompute {
 			k.kvd.NoteDiskRecompute(f, promoted)
 			extra = promoted
-		} else {
-			d := cost.DiskReadTime(cost.KVBytes(promoted)) + cost.TransferTime(promoted)
-			k.kvd.NoteDiskLoad(f, promoted, d)
-			if err := k.clk.Sleep(d); err != nil {
-				return 0, err
-			}
+		} else if err := k.clk.Sleep(k.billDiskLoad(f, promoted, cost)); err != nil {
+			return 0, err
 		}
 		k.tracer.Span(trace.Event{
 			At: dstart, Dur: k.clk.Now() - dstart, PID: c.p.pid, TID: c.tid,
@@ -728,6 +712,33 @@ func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel, allowRecompute 
 		})
 	}
 	return extra, perr
+}
+
+// billRestore is the one billing site for a PCIe restore: tokens of f
+// that moved host→GPU are charged to the kernel's restore time and the
+// daemon's restore ledger. It returns the transfer time, which the
+// caller sleeps or adds to its GPU step. Zero tokens bill nothing.
+func (k *Kernel) billRestore(f *kvfs.File, tokens int, cost model.CostModel) time.Duration {
+	if tokens <= 0 {
+		return 0
+	}
+	d := cost.TransferTime(tokens)
+	k.restoreTime.Add(int64(d))
+	k.kvd.NoteRestore(f, tokens, d)
+	return d
+}
+
+// billDiskLoad is the one billing site for an NVMe load: tokens of f
+// promoted disk→GPU by reading their tensors are charged to the daemon's
+// disk-load ledger. It returns the NVMe-plus-PCIe time, which the caller
+// sleeps or adds to its GPU step. Zero tokens bill nothing.
+func (k *Kernel) billDiskLoad(f *kvfs.File, tokens int, cost model.CostModel) time.Duration {
+	if tokens <= 0 {
+		return 0 // DiskLoadTime(0) is the latency floor, not zero
+	}
+	d := cost.DiskLoadTime(tokens)
+	k.kvd.NoteDiskLoad(f, tokens, d)
+	return d
 }
 
 // --- threads (§4.3) ---
@@ -782,7 +793,9 @@ func (c *Ctx) Call(tool string, args string) (string, error) {
 		// restore on the next Pred costs the thread time.
 		for _, f := range c.tracked {
 			if !f.Removed() {
-				f.Offload() // best effort; host pressure just keeps pages on GPU
+				// Best effort: host pressure just keeps pages on GPU.
+				n, _ := f.Offload()
+				k.kvd.NoteToolOffload(f, n)
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func TestReclaimCascadesToDisk(t *testing.T) {
 	if err != nil || n == 0 {
 		t.Fatalf("promote = %d, %v", n, err)
 	}
-	cost := d.DiskLoadCost(n)
+	cost := model.A100Llama13B().DiskLoadTime(n)
 	if cost <= 0 {
 		t.Fatal("disk load cost should be positive")
 	}

@@ -12,10 +12,15 @@
 //     and model.CostModel-derived restore/recompute estimates per file;
 //   - when GPU usage crosses a high-water mark it offloads cold, unlocked,
 //     un-pinned files to the host tier under a pluggable policy (lru, lfu,
-//     or cost-aware) until usage falls to the low-water mark;
+//     or cost-aware) until usage falls to the low-water mark; with a disk
+//     tier attached, host usage crossing its own high-water mark spills
+//     cold host files down to disk the same way — one demotion loop and
+//     one candidate builder serve both tiers;
 //   - offloaded files are restored transparently by the next pred on them
 //     (the kernel already pays the PCIe time there), and the daemon keeps
-//     the restore ledger the pressure experiments report;
+//     the restore ledger the pressure experiments report, attributing each
+//     restore to the eviction policy, a self-preemption swap, or the
+//     kernel's tool-wait offload;
 //   - under sustained pressure it cooperatively preempts the longest-idle
 //     process: that process's next pred parks briefly (instead of the
 //     kernel failing anyone's allocation), shedding demand while hot
@@ -143,6 +148,16 @@ type Stats struct {
 	SwapRestores       int64         `json:"swap_restores"`
 	SwapRestoredTokens int64         `json:"swap_restored_tokens"`
 	SwapRestoredCost   time.Duration `json:"swap_restored_cost_ns"`
+	// ToolOffloads / ToolOffloadedTokens count the kernel's offloads of a
+	// thread's files across a long tool wait, and ToolRestores /
+	// ToolRestoredTokens / ToolRestoredCost the same restore ledger for
+	// them. The kernel, not the eviction policy, moves those files, so
+	// they stay out of Offloads and Restores.
+	ToolOffloads        int64         `json:"tool_offloads"`
+	ToolOffloadedTokens int64         `json:"tool_offloaded_tokens"`
+	ToolRestores        int64         `json:"tool_restores"`
+	ToolRestoredTokens  int64         `json:"tool_restored_tokens"`
+	ToolRestoredCost    time.Duration `json:"tool_restored_cost_ns"`
 	// Preemptions counts cooperative preemption episodes: parks of the
 	// longest-idle process plus self-preemptions (a stalled pred swapping
 	// out its own residency to break an allocation standoff).
@@ -185,9 +200,9 @@ type entry struct {
 	lastAccess time.Duration
 	accesses   int64
 	pins       int
-	// offloadReason is "policy" or "swap" while the daemon has moved the
-	// file off the GPU and has not yet seen it restored, so each restore
-	// is attributed to the decision that caused it; "" otherwise.
+	// offloadReason is "policy", "swap" or "tool" while the file is off
+	// the GPU and not yet seen restored, so each restore is attributed to
+	// the decision that caused it; "" otherwise.
 	offloadReason string
 }
 
@@ -281,26 +296,12 @@ func (d *Daemon) rollbackSpill(f *kvfs.File, tokens int) {
 	d.mu.Lock()
 	d.st.SpillRollbacks++
 	d.st.SpilledTokens -= int64(tokens)
-	var notify Notify
+	fire := noEvent
 	if e, ok := d.entries[f]; ok {
-		notify = e.notify
+		fire = d.eventLocked(e, "spill-rollback", tokens)
 	}
-	pol := d.policy.Name()
 	d.mu.Unlock()
-	if notify != nil {
-		notify(Event{Phase: "spill-rollback", Tokens: tokens, Policy: pol})
-	}
-}
-
-// DiskLoadCost estimates the virtual time to re-prefill tokens of KV
-// from the snapshot store: an NVMe read of the tensor bytes plus the
-// PCIe transfer onto the GPU. The kernel weighs it against recompute
-// when a pred touches a disk-resident file.
-func (d *Daemon) DiskLoadCost(tokens int) time.Duration {
-	if d == nil {
-		return 0
-	}
-	return d.cost.DiskReadTime(d.cost.KVBytes(tokens)) + d.cost.TransferTime(tokens)
+	fire()
 }
 
 // NoteDiskLoad attributes a disk→GPU re-prefill performed by the kernel
@@ -313,16 +314,13 @@ func (d *Daemon) NoteDiskLoad(f *kvfs.File, tokens int, cost time.Duration) {
 	d.st.DiskLoads++
 	d.st.DiskLoadedTokens += int64(tokens)
 	d.st.DiskLoadCost += cost
-	var notify Notify
+	fire := noEvent
 	if e, ok := d.entries[f]; ok {
 		e.offloadReason = ""
-		notify = e.notify
+		fire = d.eventLocked(e, "load", tokens)
 	}
-	pol := d.policy.Name()
 	d.mu.Unlock()
-	if notify != nil {
-		notify(Event{Phase: "load", Tokens: tokens, Policy: pol})
-	}
+	fire()
 }
 
 // NoteDiskRecompute records that the kernel chose to recompute a
@@ -476,35 +474,56 @@ func (d *Daemon) NoteMigrate(f *kvfs.File, tokens int, cost time.Duration) {
 	}
 }
 
+// NoteToolOffload records that the kernel offloaded tokens of f across a
+// long tool wait. Unless the policy or a swap already moved the file (its
+// restore stays theirs), the later restore is billed to the tool ledger.
+// The owner hears no event for either leg: the daemon did not decide the
+// move.
+func (d *Daemon) NoteToolOffload(f *kvfs.File, tokens int) {
+	if d == nil || tokens <= 0 {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.st.ToolOffloads++
+	d.st.ToolOffloadedTokens += int64(tokens)
+	if e, ok := d.entries[f]; ok && e.offloadReason == "" {
+		e.offloadReason = "tool"
+	}
+}
+
 // NoteRestore attributes a transparent restore performed by the kernel
 // (pred found the file off-GPU) to the daemon's ledger and notifies the
-// owning process.
+// owning process of restores the daemon's own offloads caused.
 func (d *Daemon) NoteRestore(f *kvfs.File, tokens int, cost time.Duration) {
 	if d == nil || tokens <= 0 {
 		return
 	}
 	d.mu.Lock()
 	e, ok := d.entries[f]
-	var notify Notify
+	fire := noEvent
 	if ok && e.offloadReason != "" {
 		switch e.offloadReason {
 		case "swap":
 			d.st.SwapRestores++
 			d.st.SwapRestoredTokens += int64(tokens)
 			d.st.SwapRestoredCost += cost
+		case "tool":
+			d.st.ToolRestores++
+			d.st.ToolRestoredTokens += int64(tokens)
+			d.st.ToolRestoredCost += cost
 		default:
 			d.st.Restores++
 			d.st.RestoredTokens += int64(tokens)
 			d.st.RestoredCost += cost
 		}
+		if e.offloadReason != "tool" {
+			fire = d.eventLocked(e, "restore", tokens)
+		}
 		e.offloadReason = ""
-		notify = e.notify
 	}
-	pol := d.policy.Name()
 	d.mu.Unlock()
-	if notify != nil {
-		notify(Event{Phase: "restore", Tokens: tokens, Policy: pol})
-	}
+	fire()
 }
 
 // Pressure reports the instantaneous GPU page usage fraction.
@@ -527,12 +546,11 @@ func (d *Daemon) MaybeReclaim() int {
 	if d == nil {
 		return 0
 	}
-	st := d.fs.Stats()
-	if st.GPUPageCap <= 0 || float64(st.GPUPages) < d.cfg.HighWater*float64(st.GPUPageCap) {
+	over, high := d.excess(kvfs.GPU)
+	if !high {
 		return 0
 	}
-	target := st.GPUPages - int(d.cfg.LowWater*float64(st.GPUPageCap))
-	freed := d.reclaim(target * st.PageTokens)
+	freed := d.demote(kvfs.GPU, over)
 	d.maybeSpillHost()
 	return freed
 }
@@ -544,96 +562,12 @@ func (d *Daemon) Reclaim(needTokens int) int {
 	if d == nil {
 		return 0
 	}
-	st := d.fs.Stats()
-	if st.GPUPageCap > 0 {
-		if over := st.GPUPages - int(d.cfg.LowWater*float64(st.GPUPageCap)); over*st.PageTokens > needTokens {
-			needTokens = over * st.PageTokens
-		}
+	if over, _ := d.excess(kvfs.GPU); over > needTokens {
+		needTokens = over
 	}
-	freed := d.reclaim(needTokens)
+	freed := d.demote(kvfs.GPU, needTokens)
 	d.maybeSpillHost()
 	return freed
-}
-
-// reclaim offloads candidates in policy order until freed >= needTokens
-// or candidates run out, then fires the owner notifications.
-func (d *Daemon) reclaim(needTokens int) int {
-	if needTokens <= 0 {
-		return 0
-	}
-	now := d.clk.Now()
-	d.mu.Lock()
-	cands, ents := d.candidatesLocked()
-	order := d.policy.Rank(now, cands)
-	freed := 0
-	pol := d.policy.Name()
-	var fired []func()
-	for _, i := range order {
-		if freed >= needTokens {
-			break
-		}
-		e := ents[i]
-		n, _ := e.f.Offload()
-		if n == 0 {
-			continue
-		}
-		freed += n
-		e.offloadReason = "policy"
-		d.st.Offloads++
-		d.st.OffloadedTokens += int64(n)
-		if e.notify != nil {
-			notify, tokens := e.notify, n
-			fired = append(fired, func() { notify(Event{Phase: "offload", Tokens: tokens, Policy: pol}) })
-		}
-	}
-	if freed > 0 {
-		d.st.Reclaims++
-	}
-	d.mu.Unlock()
-	for _, fn := range fired {
-		fn()
-	}
-	return freed
-}
-
-// candidatesLocked snapshots the offloadable files: tracked, not
-// removed, not advisory-locked, not pinned, with GPU-resident tokens to
-// move. It also garbage-collects entries for removed files. The snapshot
-// is sorted by tracking seq so the policy ranks an identical slice on
-// every run regardless of map iteration order (rankBy is stable, so the
-// input order is the tie-break of last resort). Caller holds d.mu.
-func (d *Daemon) candidatesLocked() ([]FileInfo, []*entry) {
-	var infos []FileInfo
-	var ents []*entry
-	for f, e := range d.entries {
-		if f.Removed() {
-			delete(d.entries, f)
-			continue
-		}
-		if e.pins > 0 || f.LockedBy() != "" {
-			continue
-		}
-		gpu, _, _ := f.ResidentTokens()
-		if gpu == 0 {
-			continue
-		}
-		infos = append(infos, FileInfo{
-			File:          f,
-			Seq:           e.seq,
-			PID:           e.pid,
-			LastAccess:    e.lastAccess,
-			Accesses:      e.accesses,
-			Tokens:        gpu,
-			RestoreCost:   d.cost.TransferTime(gpu),
-			RecomputeCost: d.cost.KernelOverhead + d.cost.PerSequence + time.Duration(f.Len())*d.cost.PerToken,
-		})
-		ents = append(ents, e)
-	}
-	// seq is unique per entry, so sorting the parallel slices
-	// independently keeps infos[i] and ents[i] paired.
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Seq < infos[j].Seq })
-	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
-	return infos, ents
 }
 
 // maybeSpillHost checks the host-tier watermark and, when crossed and a
@@ -643,59 +577,60 @@ func (d *Daemon) candidatesLocked() ([]FileInfo, []*entry) {
 // after them: demotion cascades one level at a time, cost-aware because
 // the same policy that picked the coldest GPU files picks the coldest
 // host files.
-func (d *Daemon) maybeSpillHost() int {
-	if d == nil {
-		return 0
+func (d *Daemon) maybeSpillHost() {
+	if over, high := d.excess(kvfs.Host); high {
+		d.demote(kvfs.Host, over)
 	}
-	d.mu.Lock()
-	dt := d.disk
-	d.mu.Unlock()
-	if dt == nil {
-		return 0
-	}
-	st := d.fs.Stats()
-	if st.HostPageCap <= 0 || float64(st.HostPages) < d.cfg.DiskHighWater*float64(st.HostPageCap) {
-		return 0
-	}
-	target := st.HostPages - int(d.cfg.DiskLowWater*float64(st.HostPageCap))
-	return d.spill(target * st.PageTokens)
 }
 
-// spill demotes host-resident candidates in policy order until freed >=
-// needTokens or candidates run out, then fires the owner notifications.
-// Spilling is metadata-only (the store write is billed at the next
-// commit), so it is safe on any allocation path.
-func (d *Daemon) spill(needTokens int) int {
+// excess reports the tokens tier holds above its low-water mark (negative
+// when below it) and whether its usage has reached the high-water mark:
+// HighWater/LowWater for the GPU, DiskHighWater/DiskLowWater for the
+// host. A tier without capacity reports (0, false).
+func (d *Daemon) excess(tier kvfs.Tier) (tokens int, high bool) {
+	st := d.fs.Stats()
+	pages, capacity, hi, lo := st.GPUPages, st.GPUPageCap, d.cfg.HighWater, d.cfg.LowWater
+	if tier == kvfs.Host {
+		pages, capacity, hi, lo = st.HostPages, st.HostPageCap, d.cfg.DiskHighWater, d.cfg.DiskLowWater
+	}
+	if capacity <= 0 {
+		return 0, false
+	}
+	return (pages - int(lo*float64(capacity))) * st.PageTokens, float64(pages) >= hi*float64(capacity)
+}
+
+// demote is the one demotion loop: it moves candidates off tier (GPU→host
+// offload or host→disk spill) in policy order until freed >= needTokens
+// or candidates run out, then fires the owner notifications. Both legs
+// are safe on any allocation path: an offload is DMA the restoring pred
+// pays for, and a spill is metadata-only (the store write is billed at
+// the next commit).
+func (d *Daemon) demote(tier kvfs.Tier, needTokens int) int {
 	if needTokens <= 0 {
 		return 0
 	}
 	now := d.clk.Now()
 	d.mu.Lock()
-	if d.disk == nil {
+	if tier == kvfs.Host && d.disk == nil {
 		d.mu.Unlock()
 		return 0
 	}
-	cands, ents := d.spillCandidatesLocked()
+	cands, ents := d.candidatesLocked(tier)
 	order := d.policy.Rank(now, cands)
 	freed := 0
-	pol := d.policy.Name()
 	var fired []func()
 	for _, i := range order {
 		if freed >= needTokens {
 			break
 		}
-		e := ents[i]
-		n, err := d.disk.Spill(e.f)
-		if err != nil || n == 0 {
-			continue // ErrNoDisk or nothing demotable: try the next one
+		n, fire := d.demoteFileLocked(ents[i], tier, "policy")
+		if n > 0 {
+			freed += n
+			fired = append(fired, fire)
 		}
-		freed += n
-		d.st.Spills++
-		d.st.SpilledTokens += int64(n)
-		if e.notify != nil {
-			notify, tokens := e.notify, n
-			fired = append(fired, func() { notify(Event{Phase: "spill", Tokens: tokens, Policy: pol}) })
-		}
+	}
+	if freed > 0 && tier == kvfs.GPU {
+		d.st.Reclaims++
 	}
 	d.mu.Unlock()
 	for _, fn := range fired {
@@ -704,13 +639,54 @@ func (d *Daemon) spill(needTokens int) int {
 	return freed
 }
 
-// spillCandidatesLocked snapshots the host-resident files eligible for
-// demotion to disk, seq-sorted like candidatesLocked. Tokens counts the
-// host tier only, and the cost estimates describe the disk round trip —
-// what it would take to bring the file back (NVMe read + PCIe) versus
-// recomputing it — so cost-aware policies weigh the deeper demotion
-// correctly. Caller holds d.mu.
-func (d *Daemon) spillCandidatesLocked() ([]FileInfo, []*entry) {
+// demoteFileLocked moves e's file one tier down from tier and counts it in
+// the ledger: a GPU→host offload attributed to reason ("policy" or
+// "swap"), or a host→disk spill. It returns the tokens moved and the
+// owner notification to fire once d.mu is released. Caller holds d.mu.
+func (d *Daemon) demoteFileLocked(e *entry, tier kvfs.Tier, reason string) (int, func()) {
+	if tier == kvfs.Host {
+		n, err := d.disk.Spill(e.f)
+		if err != nil || n == 0 {
+			return 0, noEvent // ErrNoDisk or nothing demotable: try the next one
+		}
+		d.st.Spills++
+		d.st.SpilledTokens += int64(n)
+		return n, d.eventLocked(e, "spill", n)
+	}
+	n, _ := e.f.Offload()
+	if n == 0 {
+		return 0, noEvent
+	}
+	e.offloadReason = reason
+	d.st.Offloads++
+	d.st.OffloadedTokens += int64(n)
+	return n, d.eventLocked(e, "offload", n)
+}
+
+// noEvent is the notification of an entry nobody listens to.
+func noEvent() {}
+
+// eventLocked returns a call delivering a phase event for tokens to e's
+// owner (noEvent if the entry has no notify callback), to be made once
+// d.mu is released: callbacks must not run under it. Caller holds d.mu.
+func (d *Daemon) eventLocked(e *entry, phase string, tokens int) func() {
+	if e.notify == nil {
+		return noEvent
+	}
+	notify, ev := e.notify, Event{Phase: phase, Tokens: tokens, Policy: d.policy.Name()}
+	return func() { notify(ev) }
+}
+
+// candidatesLocked snapshots the files demotable off tier: tracked, not
+// removed, not advisory-locked, not pinned, with tokens on tier to move.
+// Each candidate's RestoreCost is the price of bringing those tokens
+// back from the tier below — PCIe for host, NVMe read plus PCIe for disk
+// — so cost-aware policies weigh the deeper demotion correctly. It also
+// garbage-collects entries for removed files. The snapshot is sorted by
+// tracking seq so the policy ranks an identical slice on every run
+// regardless of map iteration order (rankBy is stable, so the input
+// order is the tie-break of last resort). Caller holds d.mu.
+func (d *Daemon) candidatesLocked(tier kvfs.Tier) ([]FileInfo, []*entry) {
 	var infos []FileInfo
 	var ents []*entry
 	for f, e := range d.entries {
@@ -721,8 +697,12 @@ func (d *Daemon) spillCandidatesLocked() ([]FileInfo, []*entry) {
 		if e.pins > 0 || f.LockedBy() != "" {
 			continue
 		}
-		_, host, _ := f.ResidentTokens()
-		if host == 0 {
+		gpu, host, _ := f.ResidentTokens()
+		n, restore := gpu, d.cost.TransferTime(gpu)
+		if tier == kvfs.Host {
+			n, restore = host, d.cost.DiskLoadTime(host)
+		}
+		if n == 0 {
 			continue
 		}
 		infos = append(infos, FileInfo{
@@ -731,12 +711,14 @@ func (d *Daemon) spillCandidatesLocked() ([]FileInfo, []*entry) {
 			PID:           e.pid,
 			LastAccess:    e.lastAccess,
 			Accesses:      e.accesses,
-			Tokens:        host,
-			RestoreCost:   d.cost.DiskReadTime(d.cost.KVBytes(host)) + d.cost.TransferTime(host),
+			Tokens:        n,
+			RestoreCost:   restore,
 			RecomputeCost: d.cost.KernelOverhead + d.cost.PerSequence + time.Duration(f.Len())*d.cost.PerToken,
 		})
 		ents = append(ents, e)
 	}
+	// seq is unique per entry, so sorting the parallel slices
+	// independently keeps infos[i] and ents[i] paired.
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Seq < infos[j].Seq })
 	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
 	return infos, ents
@@ -757,20 +739,12 @@ func (d *Daemon) Preempt(f *kvfs.File) int {
 		d.mu.Unlock()
 		return 0
 	}
-	n, _ := f.Offload()
-	var notify Notify
+	n, fire := d.demoteFileLocked(e, kvfs.GPU, "swap")
 	if n > 0 {
-		e.offloadReason = "swap"
-		d.st.Offloads++
-		d.st.OffloadedTokens += int64(n)
 		d.st.Preemptions++
-		notify = e.notify
 	}
-	pol := d.policy.Name()
 	d.mu.Unlock()
-	if notify != nil {
-		notify(Event{Phase: "offload", Tokens: n, Policy: pol})
-	}
+	fire()
 	if n > 0 {
 		d.maybeSpillHost()
 	}
@@ -826,15 +800,12 @@ func (d *Daemon) NotePark(pid int) {
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
-	var notify Notify
+	fire := noEvent
 	if len(cands) > 0 {
-		notify = cands[0].notify
+		fire = d.eventLocked(cands[0], "park", 0)
 	}
-	pol := d.policy.Name()
 	d.mu.Unlock()
-	if notify != nil {
-		notify(Event{Phase: "park", Policy: pol})
-	}
+	fire()
 }
 
 // gcPidsLocked drops processes whose tracked files are all gone. Caller

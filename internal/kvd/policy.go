@@ -24,10 +24,12 @@ type FileInfo struct {
 	LastAccess time.Duration
 	// Accesses counts touches over the file's lifetime.
 	Accesses int64
-	// Tokens is the file's current length.
+	// Tokens is the number of the file's tokens on the tier being
+	// demoted.
 	Tokens int
-	// RestoreCost estimates the PCIe time to bring the file back to the
-	// GPU tier if it is offloaded and re-accessed.
+	// RestoreCost estimates the time to bring those tokens back from the
+	// tier below if they are demoted and re-accessed: PCIe for an
+	// offload to host, NVMe read plus PCIe for a spill to disk.
 	RestoreCost time.Duration
 	// RecomputeCost estimates the prefill time to rebuild the file's KV
 	// from scratch instead of restoring it.
@@ -125,7 +127,7 @@ func (LFU) Rank(_ time.Duration, cands []FileInfo) []int {
 
 // CostAware evicts the file with the highest idle time per unit of
 // expected re-access cost, GDSF-style: re-access cost is the cheaper of
-// restore (PCIe transfer, model.CostModel.TransferTime) and recompute
+// restore (FileInfo.RestoreCost) and recompute
 // (prefill step time) for the file's tokens, weighted by how often the
 // file has been used (frequency approximates re-access probability). A
 // long-idle, rarely-touched file that would be cheap to bring back is

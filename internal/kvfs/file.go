@@ -2,6 +2,7 @@ package kvfs
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/token"
@@ -24,9 +25,9 @@ type File struct {
 	pages  []*page
 	length int
 	// offGPU counts pages of this file not resident on the GPU tier.
-	// Exact because tier changes are restricted to exclusively-owned
-	// pages (see Offload/Restore) and forks of non-resident files are
-	// refused, so a shared page is always GPU-resident.
+	// Exact because shared pages only ever move to the GPU (see move)
+	// and forks of non-resident files are refused, so a shared page is
+	// always GPU-resident.
 	offGPU int
 	tail   model.CtxHash
 	// approx marks files assembled by Extract/Merge, whose tail is a fold
@@ -531,55 +532,14 @@ func (f *File) ResidentTokens() (gpu, host, disk int) {
 // returning the number of tokens moved (the caller charges PCIe transfer
 // time for them). Pages shared with other files stay put: another program
 // may be using them.
-func (f *File) Offload() (tokens int, err error) {
-	fs := f.fs
-	defer fs.maybeNotify()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if f.removed {
-		return 0, ErrRemoved
-	}
-	for _, pg := range f.pages {
-		if pg.tier != GPU || pg.ref > 1 {
-			continue
-		}
-		if err := fs.reserveLocked(Host); err != nil {
-			return tokens, err
-		}
-		fs.releaseLocked(GPU)
-		pg.tier = Host
-		f.offGPU++
-		tokens += len(pg.entries)
-	}
-	return tokens, nil
-}
+func (f *File) Offload() (tokens int, err error) { return f.move(GPU, Host, math.MaxInt) }
 
 // Restore migrates the file's host pages back to the GPU, returning the
 // number of tokens moved. On ErrNoSpace the file is left partially
 // restored; the caller may retry after freeing memory. Disk-tier pages
 // are not touched: they come back through PromoteDisk, whose cost (NVMe
 // read plus PCIe) is billed separately.
-func (f *File) Restore() (tokens int, err error) {
-	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if f.removed {
-		return 0, ErrRemoved
-	}
-	for _, pg := range f.pages {
-		if pg.tier != Host {
-			continue
-		}
-		if err := fs.reserveLocked(GPU); err != nil {
-			return tokens, err
-		}
-		fs.releaseLocked(Host)
-		pg.tier = GPU
-		f.offGPU--
-		tokens += len(pg.entries)
-	}
-	return tokens, nil
-}
+func (f *File) Restore() (tokens int, err error) { return f.move(Host, GPU, math.MaxInt) }
 
 // DemoteHostPages moves the file's exclusively owned host pages to the
 // disk tier, returning the tokens moved. The host reservation is
@@ -587,20 +547,7 @@ func (f *File) Restore() (tokens int, err error) {
 // (DiskTier.Spill) has already written the file to the snapshot store,
 // whose record owns the disk reservation for every page of the file.
 func (f *File) DemoteHostPages() (tokens int) {
-	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if f.removed {
-		return 0
-	}
-	for _, pg := range f.pages {
-		if pg.tier != Host || pg.ref > 1 {
-			continue
-		}
-		fs.releaseLocked(Host)
-		pg.tier = Disk
-		tokens += len(pg.entries)
-	}
+	tokens, _ = f.move(Host, Disk, math.MaxInt)
 	return tokens
 }
 
@@ -612,25 +559,7 @@ func (f *File) DemoteHostPages() (tokens int) {
 // its disk reservation are untouched; offGPU does not change (Host and
 // Disk pages both count against it). Returns the tokens moved.
 func (f *File) UndemoteHostPages(maxTokens int) (tokens int) {
-	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if f.removed {
-		return 0
-	}
-	for _, pg := range f.pages {
-		if tokens >= maxTokens {
-			break
-		}
-		if pg.tier != Disk || pg.ref > 1 {
-			continue
-		}
-		if err := fs.reserveLocked(Host); err != nil {
-			break
-		}
-		pg.tier = Host
-		tokens += len(pg.entries)
-	}
+	tokens, _ = f.move(Disk, Host, maxTokens)
 	return tokens
 }
 
@@ -640,22 +569,53 @@ func (f *File) UndemoteHostPages(maxTokens int) (tokens int) {
 // promoted; the caller may retry after freeing memory. The caller bills
 // the move: NVMe read plus PCIe for a data load, or batch prefill tokens
 // when recomputing is cheaper (see core's restore-vs-recompute choice).
-func (f *File) PromoteDisk() (tokens int, err error) {
+func (f *File) PromoteDisk() (tokens int, err error) { return f.move(Disk, GPU, math.MaxInt) }
+
+// move is the one tier-move loop: it shifts the file's pages on tier from
+// to tier to, in page order, until maxTokens have moved, and returns the
+// tokens moved. The rule every tier move follows:
+//   - shared pages move only to the GPU, where the residency invariant
+//     keeps them (see offGPU);
+//   - the destination is reserved unless it is Disk, because the
+//     snapshot-store record owns the disk reservation (see DiskTier); a
+//     full destination stops the move with its reservation error, the
+//     file left partially moved;
+//   - the source is released unless it is Disk, for the same reason;
+//   - offGPU rises when a page leaves the GPU and falls when one arrives.
+//
+// A move off the GPU fires the release hook if it freed pages.
+func (f *File) move(from, to Tier, maxTokens int) (tokens int, err error) {
 	fs := f.fs
+	if from == GPU {
+		defer fs.maybeNotify()
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if f.removed {
 		return 0, ErrRemoved
 	}
 	for _, pg := range f.pages {
-		if pg.tier != Disk {
+		if tokens >= maxTokens {
+			break
+		}
+		if pg.tier != from || (pg.ref > 1 && to != GPU) {
 			continue
 		}
-		if err := fs.reserveLocked(GPU); err != nil {
-			return tokens, err
+		if to != Disk {
+			if err := fs.reserveLocked(to); err != nil {
+				return tokens, err
+			}
 		}
-		pg.tier = GPU
-		f.offGPU--
+		if from != Disk {
+			fs.releaseLocked(from)
+		}
+		pg.tier = to
+		switch {
+		case from == GPU:
+			f.offGPU++
+		case to == GPU:
+			f.offGPU--
+		}
 		tokens += len(pg.entries)
 	}
 	return tokens, nil
