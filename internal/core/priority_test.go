@@ -75,7 +75,15 @@ func newPreemptKernel(clk *simclock.Clock) *Kernel {
 func TestPreemptedPredDoesNotPinKV(t *testing.T) {
 	clk := simclock.New()
 	k := newPreemptKernel(clk)
-	pinnedWhilePreempted := -1
+	// A preemption happens at a step boundary and lasts at least until the
+	// step it starts ends, one KernelOverhead or more later. A sampler
+	// polling every tick shorter than that which sees the preemption count
+	// rise is therefore looking at a call that is preempted right now.
+	const tick = time.Millisecond
+	if model.A100Llama13B().KernelOverhead <= tick {
+		t.Fatal("sampler tick must be shorter than the shortest step")
+	}
+	preemptedSamples, pinnedWhilePreempted, maxPins := 0, 0, 0
 	drive(t, clk, func() {
 		var batchFile *kvfs.File
 		batch := k.SubmitWith("batch", func(ctx *Ctx) error {
@@ -110,23 +118,48 @@ func TestPreemptedPredDoesNotPinKV(t *testing.T) {
 				if _, err := ctx.Pred(f, []token.ID{token.ID(500 + i)}, []int{f.Len()}); err != nil {
 					return err
 				}
-				if i == 6 && batchFile != nil {
-					pinnedWhilePreempted = k.KVD().Pins(batchFile)
-				}
 			}
 			return nil
 		}, SubmitOptions{Priority: sched.Interactive})
 
-		if err := batch.Wait(); err != nil {
-			t.Errorf("batch process: %v", err)
-		}
-		if err := inter.Wait(); err != nil {
-			t.Errorf("interactive process: %v", err)
+		sampler := k.Submit("sampler", func(ctx *Ctx) error {
+			var seen int64
+			for i := 0; i < 2000 && (batchFile == nil || !batchFile.Removed()); i++ {
+				if err := ctx.Sleep(tick); err != nil {
+					return err
+				}
+				if batchFile == nil || batchFile.Removed() {
+					continue
+				}
+				// Pins reads 0 for a file the daemon does not track, so
+				// only samples from the live file count, and maxPins shows
+				// it was tracked.
+				pins := k.KVD().Pins(batchFile)
+				maxPins = max(maxPins, pins)
+				if n := k.Stats().Sched.Preemptions; n > seen {
+					seen = n
+					preemptedSamples++
+					pinnedWhilePreempted = max(pinnedWhilePreempted, pins)
+				}
+			}
+			return nil
+		})
+
+		for _, p := range []*Process{batch, inter, sampler} {
+			if err := p.Wait(); err != nil {
+				t.Errorf("%s process: %v", p.User(), err)
+			}
 		}
 	})
 	st := k.Stats().Sched
 	if st.Preemptions == 0 {
 		t.Fatal("batch pred was never preempted")
+	}
+	if preemptedSamples == 0 {
+		t.Fatal("no sample fell inside a preemption of the live batch file")
+	}
+	if maxPins == 0 {
+		t.Fatal("the live batch file was never seen pinned, so the daemon may not track it")
 	}
 	if pinnedWhilePreempted != 0 {
 		t.Fatalf("preempted call's KV file pin count = %d, want 0 (evictable)", pinnedWhilePreempted)

@@ -6,19 +6,12 @@ import (
 	"testing"
 )
 
-// slowQuickSweeps are left out of the registry determinism test until
-// their quick runs get cheap: together they take over ten seconds.
-var slowQuickSweeps = map[string]bool{"fig3": true, "multiround": true, "batching": true}
-
 // TestRegistrySeededRunsByteIdentical is the bit-reproducibility bar for
 // -seed: every registered sweep's quick config, run twice with seed 42,
 // must produce byte-identical BENCH JSON, with nothing (wall clock, map
 // order, global RNG state) leaking into the artifact.
 func TestRegistrySeededRunsByteIdentical(t *testing.T) {
 	for _, s := range Registry {
-		if slowQuickSweeps[s.Name] {
-			continue
-		}
 		t.Run(s.Name, func(t *testing.T) {
 			first, second := seededBench(t, s), seededBench(t, s)
 			if !bytes.Equal(first, second) {

@@ -18,10 +18,19 @@ type TokenProb struct {
 // the simulated model materializes only the top-K candidates and exposes a
 // queryable tail approximation for everything else. Probabilities over the
 // candidates sum to 1-TailMass.
+//
+// A Dist returned by Model.Next goes further and materializes nothing: it
+// carries the context hash and the model's Config, and each method that
+// reads candidates builds them when called. A pred returns one Dist per
+// submitted token, and most of them are never read. Greedy is O(k) and
+// allocates nothing. A Dist is immutable once made, so it can be shared
+// freely. NewDist and Mask return Dists with built candidates, as does
+// Temperature for any temp other than 1.
 type Dist struct {
 	h     uint64
+	cfg   *Config // non-nil: candidates are built from h on read
 	vocab int
-	cands []TokenProb // sorted by descending probability
+	cands []TokenProb // sorted by descending probability; nil when cfg is set
 	tail  float64     // mass reserved for non-candidate tokens
 }
 
@@ -29,44 +38,86 @@ type Dist struct {
 // explicit candidate set.
 const TailMass = 0.02
 
-func makeDist(h uint64, cfg Config) Dist {
-	k := cfg.TopK
-	d := Dist{h: h, vocab: cfg.VocabSize, tail: TailMass}
-	d.cands = make([]TokenProb, 0, k+1)
+// lazyDist returns the model distribution for the seeded context hash h.
+func lazyDist(h uint64, cfg *Config) Dist {
+	return Dist{h: h, cfg: cfg, vocab: cfg.VocabSize, tail: TailMass}
+}
 
-	// Geometric decay with a context-dependent ratio in [0.55, 0.95] gives
-	// distributions of varying entropy.
-	ratio := 0.55 + 0.40*float64(splitmix64(h^1)%1024)/1024.0
-	seen := make(map[token.ID]bool, k)
-	w := 1.0
-	var sum float64
-	for i := 0; len(d.cands) < k; i++ {
-		id := token.ID(splitmix64(h^uint64(2+i)) % uint64(cfg.VocabSize))
-		if token.IsSpecial(id) || seen[id] {
-			continue
-		}
-		seen[id] = true
-		d.cands = append(d.cands, TokenProb{Token: id, Prob: w})
+// shape returns a model Dist's geometric decay ratio, its EOS mass, and the
+// scale that maps the TopK geometric weights onto 1-TailMass-eos. The
+// ratio is context-dependent in [0.55, 0.95], which gives distributions of
+// varying entropy; the context-dependent EOS mass makes sampled
+// generations terminate.
+func (d Dist) shape() (ratio, eos, scale float64) {
+	ratio = 0.55 + 0.40*float64(splitmix64(d.h^1)%1024)/1024.0
+	w, sum := 1.0, 0.0
+	for i := 0; i < d.cfg.TopK; i++ {
 		sum += w
 		w *= ratio
 	}
+	eos = d.cfg.EOSBias * float64(splitmix64(d.h^0xe05)%1024) / 1024.0
+	return ratio, eos, (1 - TailMass - eos) / sum
+}
 
-	// Context-dependent EOS mass makes sampled generations terminate.
-	eos := cfg.EOSBias * float64(splitmix64(h^0xe05)%1024) / 1024.0
-	scale := (1 - TailMass - eos) / sum
-	for i := range d.cands {
-		d.cands[i].Prob *= scale
+// drawID returns a model Dist's i-th candidate draw, which may be special
+// or repeat an earlier draw.
+func (d Dist) drawID(i int) token.ID {
+	return token.ID(splitmix64(d.h^uint64(2+i)) % uint64(d.vocab))
+}
+
+// candidates returns the candidate list, building it for a model Dist.
+// The build takes the first TopK distinct non-special draws with
+// geometrically decaying weights. Those strictly decrease (ratio < 1, and
+// with ratio >= 0.55 they stay normal floats for a TopK of up to about a
+// thousand), so the list is sorted as it is made and only the EOS entry
+// needs placing.
+func (d Dist) candidates() []TokenProb {
+	if d.cfg == nil {
+		return d.cands
+	}
+	ratio, eos, scale := d.shape()
+	k := d.cfg.TopK
+	cands := make([]TokenProb, 0, k+1)
+	w := 1.0
+	for i := 0; len(cands) < k; i++ {
+		id := d.drawID(i)
+		if token.IsSpecial(id) || contains(cands, id) {
+			continue
+		}
+		cands = append(cands, TokenProb{Token: id, Prob: w * scale})
+		w *= ratio
 	}
 	if eos > 0 {
-		d.cands = append(d.cands, TokenProb{Token: token.EOS, Prob: eos})
-	}
-	sort.Slice(d.cands, func(i, j int) bool {
-		if d.cands[i].Prob != d.cands[j].Prob {
-			return d.cands[i].Prob > d.cands[j].Prob
+		e := TokenProb{Token: token.EOS, Prob: eos}
+		i := 0
+		for i < len(cands) && before(cands[i], e) {
+			i++
 		}
-		return d.cands[i].Token < d.cands[j].Token
-	})
-	return d
+		cands = append(cands, TokenProb{})
+		copy(cands[i+1:], cands[i:])
+		cands[i] = e
+	}
+	return cands
+}
+
+// contains reports whether id is already among cands; a linear scan of at
+// most TopK entries is cheaper than a per-build set.
+func contains(cands []TokenProb, id token.ID) bool {
+	for _, c := range cands {
+		if c.Token == id {
+			return true
+		}
+	}
+	return false
+}
+
+// before is the candidate order: descending probability, ties broken by
+// lower token ID.
+func before(a, b TokenProb) bool {
+	if a.Prob != b.Prob {
+		return a.Prob > b.Prob
+	}
+	return a.Token < b.Token
 }
 
 // NewDist builds a distribution from explicit candidates, for user
@@ -94,15 +145,30 @@ func NewDist(vocabSize int, cands []TokenProb) Dist {
 }
 
 // Candidates returns the explicit candidates in descending probability
-// order. The slice is shared; callers must not mutate it.
-func (d Dist) Candidates() []TokenProb { return d.cands }
+// order. Callers must not mutate the slice: it is shared by every copy of
+// a Dist built by NewDist, Mask or Temperature. A model Dist builds a new
+// slice on each call.
+func (d Dist) Candidates() []TokenProb { return d.candidates() }
 
 // Greedy returns the most probable token.
 func (d Dist) Greedy() token.ID {
-	if len(d.cands) == 0 {
+	if d.cfg == nil {
+		if len(d.cands) == 0 {
+			return token.EOS
+		}
+		return d.cands[0].Token
+	}
+	// The first non-special draw has weight 1, so its probability is scale.
+	_, eos, scale := d.shape()
+	i := 0
+	for token.IsSpecial(d.drawID(i)) {
+		i++
+	}
+	top := TokenProb{Token: d.drawID(i), Prob: scale}
+	if eos > 0 && before(TokenProb{Token: token.EOS, Prob: eos}, top) {
 		return token.EOS
 	}
-	return d.cands[0].Token
+	return top.Token
 }
 
 // VocabSize returns the vocabulary bound of the emitting model.
@@ -111,18 +177,21 @@ func (d Dist) VocabSize() int { return d.vocab }
 // ProbOf returns the probability of an arbitrary token: the exact candidate
 // probability when tok is a candidate, otherwise a deterministic share of
 // the tail mass.
-func (d Dist) ProbOf(tok token.ID) float64 {
-	for _, c := range d.cands {
+func (d Dist) ProbOf(tok token.ID) float64 { return d.probOf(d.candidates(), tok) }
+
+// probOf is ProbOf over d's already built candidates.
+func (d Dist) probOf(cands []TokenProb, tok token.ID) float64 {
+	for _, c := range cands {
 		if c.Token == tok {
 			return c.Prob
 		}
 	}
-	if d.vocab <= len(d.cands) {
+	if d.vocab <= len(cands) {
 		return 0
 	}
 	// Split tail mass unevenly but deterministically among non-candidates.
 	u := float64(splitmix64(d.h^uint64(tok)^0x7a11)%1024) / 1024.0
-	mean := d.tail / float64(d.vocab-len(d.cands))
+	mean := d.tail / float64(d.vocab-len(cands))
 	return mean * (0.5 + u)
 }
 
@@ -130,7 +199,7 @@ func (d Dist) ProbOf(tok token.ID) float64 {
 // ignoring the tail.
 func (d Dist) Entropy() float64 {
 	var e float64
-	for _, c := range d.cands {
+	for _, c := range d.candidates() {
 		if c.Prob > 0 {
 			e -= c.Prob * math.Log(c.Prob)
 		}
@@ -141,17 +210,18 @@ func (d Dist) Entropy() float64 {
 // SampleAt inverts the candidate CDF at u in [0,1). Tail mass maps to the
 // least probable candidate, so SampleAt always returns a candidate.
 func (d Dist) SampleAt(u float64) token.ID {
-	if len(d.cands) == 0 {
+	cands := d.candidates()
+	if len(cands) == 0 {
 		return token.EOS
 	}
 	var acc float64
-	for _, c := range d.cands {
+	for _, c := range cands {
 		acc += c.Prob
 		if u < acc {
 			return c.Token
 		}
 	}
-	return d.cands[len(d.cands)-1].Token
+	return cands[len(cands)-1].Token
 }
 
 // Mask restricts the distribution to the allowed token set and
@@ -160,10 +230,11 @@ func (d Dist) SampleAt(u float64) token.ID {
 // grammar can always make progress even when the model's top-K disagrees
 // with it. Mask returns the zero Dist if allowed is empty.
 func (d Dist) Mask(allowed []token.ID) Dist {
+	cands := d.candidates()
 	out := Dist{h: d.h, vocab: d.vocab}
 	var sum float64
 	for _, tok := range allowed {
-		p := d.ProbOf(tok)
+		p := d.probOf(cands, tok)
 		if p <= 0 {
 			continue
 		}
@@ -176,12 +247,7 @@ func (d Dist) Mask(allowed []token.ID) Dist {
 	for i := range out.cands {
 		out.cands[i].Prob /= sum
 	}
-	sort.Slice(out.cands, func(i, j int) bool {
-		if out.cands[i].Prob != out.cands[j].Prob {
-			return out.cands[i].Prob > out.cands[j].Prob
-		}
-		return out.cands[i].Token < out.cands[j].Token
-	})
+	sortCands(out.cands)
 	return out
 }
 
@@ -194,14 +260,15 @@ func (d Dist) Temperature(temp float64) Dist {
 	}
 	out := Dist{h: d.h, vocab: d.vocab}
 	if temp <= 0 {
-		if len(d.cands) > 0 {
+		if d.cfg != nil || len(d.cands) > 0 {
 			out.cands = []TokenProb{{Token: d.Greedy(), Prob: 1}}
 		}
 		return out
 	}
-	out.cands = make([]TokenProb, len(d.cands))
+	cands := d.candidates()
+	out.cands = make([]TokenProb, len(cands))
 	var sum float64
-	for i, c := range d.cands {
+	for i, c := range cands {
 		p := math.Pow(c.Prob, 1/temp)
 		out.cands[i] = TokenProb{Token: c.Token, Prob: p}
 		sum += p
@@ -209,13 +276,12 @@ func (d Dist) Temperature(temp float64) Dist {
 	for i := range out.cands {
 		out.cands[i].Prob /= sum
 	}
-	sort.Slice(out.cands, func(i, j int) bool {
-		if out.cands[i].Prob != out.cands[j].Prob {
-			return out.cands[i].Prob > out.cands[j].Prob
-		}
-		return out.cands[i].Token < out.cands[j].Token
-	})
+	sortCands(out.cands)
 	return out
+}
+
+func sortCands(cands []TokenProb) {
+	sort.Slice(cands, func(i, j int) bool { return before(cands[i], cands[j]) })
 }
 
 // ApproxBytes returns the wire size of the full distribution this Dist

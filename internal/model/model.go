@@ -135,7 +135,7 @@ func (m *Model) Next(h CtxHash) Dist {
 	if m.cfg.AlignTarget != nil {
 		return m.NextAgreeing(h, m.cfg.AlignTarget, m.cfg.AlignProb)
 	}
-	return makeDist(uint64(h)^m.cfg.Seed, m.cfg)
+	return lazyDist(uint64(h)^m.cfg.Seed, &m.cfg)
 }
 
 // NextAgreeing returns a distribution that equals target.Next(h) with
@@ -148,7 +148,7 @@ func (m *Model) NextAgreeing(h CtxHash, target *Model, agreement float64) Dist {
 	if coin < agreement*1e6 {
 		return target.Next(h)
 	}
-	return makeDist(uint64(h)^m.cfg.Seed^0xdeadbeef, m.cfg)
+	return lazyDist(uint64(h)^m.cfg.Seed^0xdeadbeef, &m.cfg)
 }
 
 // splitmix64 is the SplitMix64 mixing function: a fast, well-distributed
