@@ -9,6 +9,7 @@
 //	symphony-bench -exp all -quick          # every sweep, reduced grids
 //	symphony-bench -exp <name> -seed 7      # one sweep, full grid, shifted workload
 //	symphony-bench -list-exp                # the valid -exp names, one per line
+//	symphony-bench -exp fig3 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Each sweep prints its tables and writes a machine-readable
 // BENCH_<exp>.json artifact into -json-dir (default "."; empty disables),
@@ -16,6 +17,8 @@
 // against. -seed shifts the seeded sweeps' deterministic workload
 // streams: two runs with the same -seed produce byte-identical artifacts,
 // and -seed 0 (the default) keeps each sweep's recorded-baseline streams.
+// -cpuprofile and -memprofile write pprof profiles of the simulator's own
+// CPU and allocations (`go tool pprof FILE`); they never enter BENCH JSON.
 package main
 
 import (
@@ -23,6 +26,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -42,6 +47,8 @@ func main() {
 	jsonDir := flag.String("json-dir", ".", "directory for the BENCH_<exp>.json artifact each experiment writes (empty disables)")
 	seed := flag.Int64("seed", 0, "workload seed for the seeded experiments; 0 keeps each experiment's recorded baseline")
 	listExp := flag.Bool("list-exp", false, "print the valid -exp names, one per line, and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweeps to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the sweeps to this file")
 	flag.Parse()
 
 	if *listExp {
@@ -51,6 +58,22 @@ func main() {
 	if !slices.Contains(names, *exp) {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\nvalid experiments: %s\n", *exp, strings.Join(names, ", "))
 		os.Exit(2)
+	}
+
+	if *cpuProfile != "" {
+		f := create(*cpuProfile)
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
+		}()
+	}
+	if *memProfile != "" {
+		defer writeAllocProfile(*memProfile)
 	}
 
 	start := time.Now()
@@ -67,10 +90,35 @@ func main() {
 		}
 		path := filepath.Join(*jsonDir, "BENCH_"+s.Name+".json")
 		if err := experiments.WriteBenchJSON(path, s.Name, res.Config, res.Points); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", path)
 	}
 	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// writeAllocProfile writes the allocation profile of everything the
+// process has run so far to path.
+func writeAllocProfile(path string) {
+	f := create(path)
+	runtime.GC() // settle the live-heap figures
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+}
+
+func create(path string) *os.File {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	return f
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

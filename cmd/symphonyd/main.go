@@ -300,10 +300,27 @@ func main() {
 		*addr, *speedup, kernel.Scheduler().Replicas(), kernel.Scheduler().Dispatcher(),
 		kernel.Scheduler().PriorityPolicy(), kernel.KVD().PolicyName(),
 		kernel.Scheduler().PrefillChunk(), specNote, prefixNote)
-	if err := http.ListenAndServe(*addr, srv); err != nil {
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	if err := hs.ListenAndServe(); err != nil {
 		log.Fatal(err)
 	}
 }
+
+// HTTP connection timeouts, in wall time. A client must finish sending
+// its request headers within readHeaderTimeout, and an idle keep-alive
+// connection is closed after idleTimeout. There is deliberately no write
+// or read timeout: a v2 event stream (SSE) stays open for its program's
+// life, and net/http cancels a request's context when the connection's
+// read deadline passes while its handler still runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // iterationPolicies lists the priority policies compatible with
 // -spec-decode: those that bound each call's per-iteration slice, so a

@@ -571,10 +571,12 @@ func (c *Ctx) pred(modelName string, f *kvfs.File, toks []token.ID, positions []
 	if serr != nil {
 		return nil, serr
 	}
-	k.tracer.Span(trace.Event{
-		At: pstart, Dur: k.clk.Now() - pstart, PID: c.p.pid, TID: c.tid,
-		Kind: trace.KindPred, Detail: fmt.Sprintf("%d tokens @%s", len(toks), resolvedName(k, modelName)),
-	})
+	if k.tracer != nil {
+		k.tracer.Span(trace.Event{
+			At: pstart, Dur: k.clk.Now() - pstart, PID: c.p.pid, TID: c.tid,
+			Kind: trace.KindPred, Detail: fmt.Sprintf("%d tokens @%s", len(toks), resolvedName(k, modelName)),
+		})
+	}
 
 	if cacheable {
 		// Commit the freshly committed prompt's chunk boundaries into the
@@ -679,10 +681,12 @@ func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel, allowRecompute 
 		if err := k.clk.Sleep(k.billRestore(f, restored, cost)); err != nil {
 			return 0, err
 		}
-		k.tracer.Span(trace.Event{
-			At: rstart, Dur: k.clk.Now() - rstart, PID: c.p.pid, TID: c.tid,
-			Kind: trace.KindRestore, Detail: fmt.Sprintf("%d tokens", restored),
-		})
+		if k.tracer != nil {
+			k.tracer.Span(trace.Event{
+				At: rstart, Dur: k.clk.Now() - rstart, PID: c.p.pid, TID: c.tid,
+				Kind: trace.KindRestore, Detail: fmt.Sprintf("%d tokens", restored),
+			})
+		}
 	}
 	if rerr != nil || disk == 0 {
 		return 0, rerr
@@ -706,10 +710,12 @@ func (c *Ctx) ensureResident(f *kvfs.File, cost model.CostModel, allowRecompute 
 		} else if err := k.clk.Sleep(k.billDiskLoad(f, promoted, cost)); err != nil {
 			return 0, err
 		}
-		k.tracer.Span(trace.Event{
-			At: dstart, Dur: k.clk.Now() - dstart, PID: c.p.pid, TID: c.tid,
-			Kind: trace.KindRestore, Detail: fmt.Sprintf("%d tokens (disk, recompute=%t)", promoted, recompute),
-		})
+		if k.tracer != nil {
+			k.tracer.Span(trace.Event{
+				At: dstart, Dur: k.clk.Now() - dstart, PID: c.p.pid, TID: c.tid,
+				Kind: trace.KindRestore, Detail: fmt.Sprintf("%d tokens (disk, recompute=%t)", promoted, recompute),
+			})
+		}
 	}
 	return extra, perr
 }

@@ -551,11 +551,13 @@ func (m *migrator) transfer(c *Ctx, f *kvfs.File, root model.CtxHash, span kvfs.
 	m.st.MigratedPages += int64(span.Pages)
 	m.st.MigrateTime += d
 	m.mu.Unlock()
-	k.tracer.Span(trace.Event{
-		At: start, Dur: d, PID: c.p.pid, TID: c.tid,
-		Kind:   trace.KindMigrate,
-		Detail: fmt.Sprintf("migrate %d tokens r%d->r%d", span.Tokens, from, to),
-	})
+	if k.tracer != nil {
+		k.tracer.Span(trace.Event{
+			At: start, Dur: d, PID: c.p.pid, TID: c.tid,
+			Kind:   trace.KindMigrate,
+			Detail: fmt.Sprintf("migrate %d tokens r%d->r%d", span.Tokens, from, to),
+		})
+	}
 	c.p.publish(ProcEvent{Kind: EventKVMigrate, Phase: "migrate",
 		Text: fmt.Sprintf("%d tokens (%d pages), replica %d -> %d, %v",
 			span.Tokens, span.Pages, from, to, d.Round(time.Microsecond))})

@@ -43,8 +43,11 @@ func (s *Sampler) Sample(d model.Dist) token.ID {
 	if s.Temperature <= 0 {
 		return d.Greedy()
 	}
-	d = d.Temperature(s.Temperature)
-	cands := d.Candidates()
+	// Temper into a stack buffer that holds TopK+EOS candidates for any
+	// TopK up to 128; a larger TopK spills to the heap. The buffer is
+	// local, not a Sampler field, because Samplers are copied by value.
+	var buf [129]model.TokenProb
+	cands := d.AppendTempered(buf[:0], s.Temperature)
 	if len(cands) == 0 {
 		return token.EOS
 	}

@@ -2,7 +2,7 @@ package model
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/token"
 )
@@ -23,14 +23,22 @@ type TokenProb struct {
 // carries the context hash and the model's Config, and each method that
 // reads candidates builds them when called. A pred returns one Dist per
 // submitted token, and most of them are never read. Greedy is O(k) and
-// allocates nothing. A Dist is immutable once made, so it can be shared
-// freely. NewDist and Mask return Dists with built candidates, as does
-// Temperature for any temp other than 1.
+// allocates nothing, and AppendTempered builds and tempers the candidates
+// into a caller's buffer, so a sampler needs no heap at all. A Dist is
+// three words (24 bytes): a pred's per-token slice stays small. A Dist is
+// immutable once made, so it can be shared freely. NewDist and Mask
+// return Dists with built candidates, as does Temperature for any temp
+// other than 1; those live behind a pointer.
 type Dist struct {
-	h     uint64
-	cfg   *Config // non-nil: candidates are built from h on read
+	h   uint64
+	cfg *Config    // non-nil: candidates are built from h on read
+	e   *eagerDist // non-nil: built candidates (NewDist, Mask, Temperature)
+}
+
+// eagerDist is the part of a Dist that NewDist, Mask and Temperature build.
+type eagerDist struct {
 	vocab int
-	cands []TokenProb // sorted by descending probability; nil when cfg is set
+	cands []TokenProb // sorted by descending probability
 	tail  float64     // mass reserved for non-candidate tokens
 }
 
@@ -40,7 +48,7 @@ const TailMass = 0.02
 
 // lazyDist returns the model distribution for the seeded context hash h.
 func lazyDist(h uint64, cfg *Config) Dist {
-	return Dist{h: h, cfg: cfg, vocab: cfg.VocabSize, tail: TailMass}
+	return Dist{h: h, cfg: cfg}
 }
 
 // shape returns a model Dist's geometric decay ratio, its EOS mass, and the
@@ -62,46 +70,65 @@ func (d Dist) shape() (ratio, eos, scale float64) {
 // drawID returns a model Dist's i-th candidate draw, which may be special
 // or repeat an earlier draw.
 func (d Dist) drawID(i int) token.ID {
-	return token.ID(splitmix64(d.h^uint64(2+i)) % uint64(d.vocab))
+	return token.ID(splitmix64(d.h^uint64(2+i)) % uint64(d.cfg.VocabSize))
 }
 
 // candidates returns the candidate list, building it for a model Dist.
-// The build takes the first TopK distinct non-special draws with
-// geometrically decaying weights. Those strictly decrease (ratio < 1, and
-// with ratio >= 0.55 they stay normal floats for a TopK of up to about a
-// thousand), so the list is sorted as it is made and only the EOS entry
-// needs placing.
 func (d Dist) candidates() []TokenProb {
+	if d.cfg != nil {
+		return d.appendCandidates(make([]TokenProb, 0, d.cfg.TopK+1))
+	}
+	if d.e != nil {
+		return d.e.cands
+	}
+	return nil
+}
+
+// appendCandidates appends d's candidate list to dst. A model Dist's
+// build takes the first TopK distinct non-special draws with geometrically
+// decaying weights. Those strictly decrease (ratio < 1, and with ratio >=
+// 0.55 they stay normal floats for a TopK of up to about a thousand), so
+// the list is sorted as it is made and only the EOS entry needs placing.
+// Duplicate draws are caught by a 256-bit filter over the token's low
+// bits, with a linear scan only when the filter's bit is already set.
+func (d Dist) appendCandidates(dst []TokenProb) []TokenProb {
 	if d.cfg == nil {
-		return d.cands
+		if d.e != nil {
+			dst = append(dst, d.e.cands...)
+		}
+		return dst
 	}
 	ratio, eos, scale := d.shape()
 	k := d.cfg.TopK
-	cands := make([]TokenProb, 0, k+1)
+	start := len(dst)
+	dst = slices.Grow(dst, k+1)
+	var seen [4]uint64
 	w := 1.0
-	for i := 0; len(cands) < k; i++ {
+	for i := 0; len(dst)-start < k; i++ {
 		id := d.drawID(i)
-		if token.IsSpecial(id) || contains(cands, id) {
+		if token.IsSpecial(id) {
 			continue
 		}
-		cands = append(cands, TokenProb{Token: id, Prob: w * scale})
+		word, bit := &seen[uint32(id)>>6&3], uint64(1)<<(uint32(id)&63)
+		if *word&bit != 0 && contains(dst[start:], id) {
+			continue
+		}
+		*word |= bit
+		dst = append(dst, TokenProb{Token: id, Prob: w * scale})
 		w *= ratio
 	}
 	if eos > 0 {
 		e := TokenProb{Token: token.EOS, Prob: eos}
-		i := 0
-		for i < len(cands) && before(cands[i], e) {
+		i := start
+		for i < len(dst) && before(dst[i], e) {
 			i++
 		}
-		cands = append(cands, TokenProb{})
-		copy(cands[i+1:], cands[i:])
-		cands[i] = e
+		dst = slices.Insert(dst, i, e)
 	}
-	return cands
+	return dst
 }
 
-// contains reports whether id is already among cands; a linear scan of at
-// most TopK entries is cheaper than a per-build set.
+// contains reports whether id is already among cands.
 func contains(cands []TokenProb, id token.ID) bool {
 	for _, c := range cands {
 		if c.Token == id {
@@ -127,7 +154,8 @@ func before(a, b TokenProb) bool {
 // rewritten distribution still composes with Mask-based constraints. The
 // candidates must be sorted by descending probability.
 func NewDist(vocabSize int, cands []TokenProb) Dist {
-	d := Dist{vocab: vocabSize, tail: TailMass}
+	e := &eagerDist{vocab: vocabSize, tail: TailMass}
+	d := Dist{e: e}
 	var sum float64
 	for _, c := range cands {
 		sum += c.Prob
@@ -137,9 +165,9 @@ func NewDist(vocabSize int, cands []TokenProb) Dist {
 		return d
 	}
 	scale := (1 - TailMass) / sum
-	d.cands = make([]TokenProb, len(cands))
+	e.cands = make([]TokenProb, len(cands))
 	for i, c := range cands {
-		d.cands[i] = TokenProb{Token: c.Token, Prob: c.Prob * scale}
+		e.cands[i] = TokenProb{Token: c.Token, Prob: c.Prob * scale}
 	}
 	return d
 }
@@ -153,10 +181,11 @@ func (d Dist) Candidates() []TokenProb { return d.candidates() }
 // Greedy returns the most probable token.
 func (d Dist) Greedy() token.ID {
 	if d.cfg == nil {
-		if len(d.cands) == 0 {
+		cands := d.candidates()
+		if len(cands) == 0 {
 			return token.EOS
 		}
-		return d.cands[0].Token
+		return cands[0].Token
 	}
 	// The first non-special draw has weight 1, so its probability is scale.
 	_, eos, scale := d.shape()
@@ -172,7 +201,26 @@ func (d Dist) Greedy() token.ID {
 }
 
 // VocabSize returns the vocabulary bound of the emitting model.
-func (d Dist) VocabSize() int { return d.vocab }
+func (d Dist) VocabSize() int {
+	if d.cfg != nil {
+		return d.cfg.VocabSize
+	}
+	if d.e != nil {
+		return d.e.vocab
+	}
+	return 0
+}
+
+// tail returns the mass d reserves for non-candidate tokens.
+func (d Dist) tail() float64 {
+	if d.cfg != nil {
+		return TailMass
+	}
+	if d.e != nil {
+		return d.e.tail
+	}
+	return 0
+}
 
 // ProbOf returns the probability of an arbitrary token: the exact candidate
 // probability when tok is a candidate, otherwise a deterministic share of
@@ -186,12 +234,13 @@ func (d Dist) probOf(cands []TokenProb, tok token.ID) float64 {
 			return c.Prob
 		}
 	}
-	if d.vocab <= len(cands) {
+	vocab := d.VocabSize()
+	if vocab <= len(cands) {
 		return 0
 	}
 	// Split tail mass unevenly but deterministically among non-candidates.
 	u := float64(splitmix64(d.h^uint64(tok)^0x7a11)%1024) / 1024.0
-	mean := d.tail / float64(d.vocab-len(cands))
+	mean := d.tail() / float64(vocab-len(cands))
 	return mean * (0.5 + u)
 }
 
@@ -231,7 +280,7 @@ func (d Dist) SampleAt(u float64) token.ID {
 // with it. Mask returns the zero Dist if allowed is empty.
 func (d Dist) Mask(allowed []token.ID) Dist {
 	cands := d.candidates()
-	out := Dist{h: d.h, vocab: d.vocab}
+	out := &eagerDist{vocab: d.VocabSize()}
 	var sum float64
 	for _, tok := range allowed {
 		p := d.probOf(cands, tok)
@@ -241,14 +290,13 @@ func (d Dist) Mask(allowed []token.ID) Dist {
 		out.cands = append(out.cands, TokenProb{Token: tok, Prob: p})
 		sum += p
 	}
-	if sum == 0 {
-		return out
+	if sum != 0 {
+		for i := range out.cands {
+			out.cands[i].Prob /= sum
+		}
+		sortCands(out.cands)
 	}
-	for i := range out.cands {
-		out.cands[i].Prob /= sum
-	}
-	sortCands(out.cands)
-	return out
+	return Dist{h: d.h, e: out}
 }
 
 // Temperature returns a copy of the distribution with probabilities
@@ -258,33 +306,54 @@ func (d Dist) Temperature(temp float64) Dist {
 	if temp == 1 {
 		return d
 	}
-	out := Dist{h: d.h, vocab: d.vocab}
+	return Dist{h: d.h, e: &eagerDist{vocab: d.VocabSize(), cands: d.AppendTempered(nil, temp)}}
+}
+
+// AppendTempered appends d.Temperature(temp).Candidates() to dst without
+// building the tempered Dist: the candidates are built in place in dst
+// and tempered there, so a sampler that passes a large enough buffer
+// allocates nothing.
+func (d Dist) AppendTempered(dst []TokenProb, temp float64) []TokenProb {
 	if temp <= 0 {
-		if d.cfg != nil || len(d.cands) > 0 {
-			out.cands = []TokenProb{{Token: d.Greedy(), Prob: 1}}
+		if d.cfg == nil && len(d.candidates()) == 0 {
+			return dst
 		}
-		return out
+		return append(dst, TokenProb{Token: d.Greedy(), Prob: 1})
 	}
-	cands := d.candidates()
-	out.cands = make([]TokenProb, len(cands))
+	start := len(dst)
+	dst = d.appendCandidates(dst)
+	if temp == 1 {
+		return dst
+	}
+	cands := dst[start:]
 	var sum float64
 	for i, c := range cands {
 		p := math.Pow(c.Prob, 1/temp)
-		out.cands[i] = TokenProb{Token: c.Token, Prob: p}
+		cands[i].Prob = p
 		sum += p
 	}
-	for i := range out.cands {
-		out.cands[i].Prob /= sum
+	for i := range cands {
+		cands[i].Prob /= sum
 	}
-	sortCands(out.cands)
-	return out
+	sortCands(cands)
+	return dst
 }
 
+// sortCands sorts cands into the before order. before is a strict total
+// order over distinct tokens, so the result does not depend on the sort.
 func sortCands(cands []TokenProb) {
-	sort.Slice(cands, func(i, j int) bool { return before(cands[i], cands[j]) })
+	slices.SortFunc(cands, func(a, b TokenProb) int {
+		if before(a, b) {
+			return -1
+		}
+		if before(b, a) {
+			return 1
+		}
+		return 0
+	})
 }
 
 // ApproxBytes returns the wire size of the full distribution this Dist
 // stands for (vocab × fp16), the figure the paper cites when arguing the
 // sampling loop cannot live client-side.
-func (d Dist) ApproxBytes() int { return d.vocab * 2 }
+func (d Dist) ApproxBytes() int { return d.VocabSize() * 2 }

@@ -4,16 +4,18 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/token"
 )
 
 // referenceDist is the eager distribution build that lazy model Dists
 // replace, kept verbatim (per-call map plus sort.Slice) as the oracle the
-// lazy build must match bit for bit.
+// lazy build must match bit for bit. Only the Dist's layout changed: the
+// candidates now sit behind Dist.e.
 func referenceDist(h uint64, cfg Config) Dist {
 	k := cfg.TopK
-	d := Dist{h: h, vocab: cfg.VocabSize, tail: TailMass}
+	d := eagerDist{vocab: cfg.VocabSize, tail: TailMass}
 	d.cands = make([]TokenProb, 0, k+1)
 
 	// Geometric decay with a context-dependent ratio in [0.55, 0.95] gives
@@ -48,7 +50,36 @@ func referenceDist(h uint64, cfg Config) Dist {
 		}
 		return d.cands[i].Token < d.cands[j].Token
 	})
-	return d
+	return Dist{h: h, e: &d}
+}
+
+// referenceTemperature is the tempering that Dist.AppendTempered
+// replaces, kept verbatim (a second slice plus sort.Slice) and returning
+// the tempered candidates.
+func referenceTemperature(d Dist, temp float64) []TokenProb {
+	if temp == 1 {
+		return d.Candidates()
+	}
+	var out []TokenProb
+	if temp <= 0 {
+		if d.cfg != nil || len(d.Candidates()) > 0 {
+			out = []TokenProb{{Token: d.Greedy(), Prob: 1}}
+		}
+		return out
+	}
+	cands := d.Candidates()
+	out = make([]TokenProb, len(cands))
+	var sum float64
+	for i, c := range cands {
+		p := math.Pow(c.Prob, 1/temp)
+		out[i] = TokenProb{Token: c.Token, Prob: p}
+		sum += p
+	}
+	for i := range out {
+		out[i].Prob /= sum
+	}
+	sort.Slice(out, func(i, j int) bool { return before(out[i], out[j]) })
+	return out
 }
 
 // checkReference asserts that the lazy model Dist d reads exactly like the
@@ -56,7 +87,7 @@ func referenceDist(h uint64, cfg Config) Dist {
 // the same ProbOf, SampleAt, Entropy, Mask and Temperature results.
 func checkReference(t *testing.T, d, ref Dist, spot bool) {
 	t.Helper()
-	got, want := d.Candidates(), ref.cands
+	got, want := d.Candidates(), ref.e.cands
 	if len(got) != len(want) {
 		t.Fatalf("h=%#x: %d candidates, reference has %d", d.h, len(got), len(want))
 	}
@@ -72,7 +103,7 @@ func checkReference(t *testing.T, d, ref Dist, spot bool) {
 		return
 	}
 	probes := []token.ID{token.EOS, token.BOS, want[0].Token, want[len(want)-1].Token,
-		token.ID(d.h % uint64(d.vocab)), token.ID(d.vocab - 1)}
+		token.ID(d.h % uint64(d.VocabSize())), token.ID(d.VocabSize() - 1)}
 	for _, tok := range probes {
 		if g, w := d.ProbOf(tok), ref.ProbOf(tok); g != w {
 			t.Fatalf("h=%#x: ProbOf(%d) = %v, reference %v", d.h, tok, g, w)
@@ -86,9 +117,8 @@ func checkReference(t *testing.T, d, ref Dist, spot bool) {
 	if g, w := d.Entropy(), ref.Entropy(); g != w {
 		t.Fatalf("h=%#x: Entropy = %v, reference %v", d.h, g, w)
 	}
-	sameCands := func(what string, g, w Dist) {
+	sameCands := func(what string, gc, wc []TokenProb) {
 		t.Helper()
-		gc, wc := g.Candidates(), w.Candidates()
 		if len(gc) != len(wc) {
 			t.Fatalf("h=%#x: %s has %d candidates, reference %d", d.h, what, len(gc), len(wc))
 		}
@@ -98,9 +128,17 @@ func checkReference(t *testing.T, d, ref Dist, spot bool) {
 			}
 		}
 	}
-	sameCands("Mask", d.Mask(probes), ref.Mask(probes))
+	sameCands("Mask", d.Mask(probes).Candidates(), ref.Mask(probes).Candidates())
+	var buf [3]TokenProb
 	for _, temp := range []float64{0, 0.7, 1, 1.5} {
-		sameCands("Temperature", d.Temperature(temp), ref.Temperature(temp))
+		want := referenceTemperature(ref, temp)
+		sameCands("Temperature", d.Temperature(temp).Candidates(), want)
+		sameCands("AppendTempered", d.AppendTempered(nil, temp), want)
+		got := d.AppendTempered(buf[:1], temp)
+		if got[0] != buf[0] {
+			t.Fatalf("h=%#x: AppendTempered overwrote dst's prefix", d.h)
+		}
+		sameCands("AppendTempered onto a prefix", got[1:], want)
 	}
 }
 
@@ -130,12 +168,13 @@ func TestLazyDistMatchesReference(t *testing.T) {
 				d := c.m.Next(CtxHash(splitmix64(uint64(i))))
 				ref := referenceDist(d.h, *d.cfg)
 				checkReference(t, d, ref, i%97 == 0)
-				if ref.cands[0].Token == token.EOS {
+				rc := ref.e.cands
+				if rc[0].Token == token.EOS {
 					eosFirst++
 				}
-				for j, p := range ref.cands {
-					if p.Token == token.EOS && (j > 0 && ref.cands[j-1].Prob == p.Prob ||
-						j+1 < len(ref.cands) && ref.cands[j+1].Prob == p.Prob) {
+				for j, p := range rc {
+					if p.Token == token.EOS && (j > 0 && rc[j-1].Prob == p.Prob ||
+						j+1 < len(rc) && rc[j+1].Prob == p.Prob) {
 						ties++
 					}
 				}
@@ -191,6 +230,14 @@ func TestLazyDistAllocations(t *testing.T) {
 		}
 	}
 	_, _, _ = sink, tok, cands
+}
+
+// TestDistSize pins Dist at three words: a pred returns one Dist per
+// submitted token, so a prefill's slice grows with its size.
+func TestDistSize(t *testing.T) {
+	if got := unsafe.Sizeof(Dist{}); got != 24 {
+		t.Errorf("Dist is %d bytes, want 24", got)
+	}
 }
 
 func BenchmarkNextGreedy(b *testing.B) {

@@ -24,7 +24,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -117,7 +116,7 @@ func (c *Clock) Go(name string, fn func()) {
 	c.actors++
 	ch := make(chan struct{})
 	c.nextTimerID++
-	heap.Push(&c.timers, timerEntry{at: c.now, seq: c.nextTimerID, ch: ch})
+	c.timers.push(timerEntry{at: c.now, seq: c.nextTimerID, ch: ch})
 	c.parkLocked(ch, "spawn "+name)
 	c.mu.Unlock()
 
@@ -149,7 +148,7 @@ func (c *Clock) Sleep(d time.Duration) error {
 	}
 	ch := make(chan struct{})
 	c.nextTimerID++
-	heap.Push(&c.timers, timerEntry{at: c.now + d, seq: c.nextTimerID, ch: ch})
+	c.timers.push(timerEntry{at: c.now + d, seq: c.nextTimerID, ch: ch})
 	c.parkLocked(ch, "sleep")
 	c.mu.Unlock()
 	<-ch
@@ -263,7 +262,7 @@ func (c *Clock) parkLocked(ch chan struct{}, why string) {
 // The caller must hold c.mu.
 func (c *Clock) wakeSoonLocked(ch chan struct{}) {
 	c.nextTimerID++
-	heap.Push(&c.timers, timerEntry{at: c.now, seq: c.nextTimerID, ch: ch})
+	c.timers.push(timerEntry{at: c.now, seq: c.nextTimerID, ch: ch})
 	// If the waker is not an actor (an HTTP goroutine, a test) every actor
 	// may already be parked, so the wake must advance the clock itself.
 	c.maybeAdvanceLocked()
@@ -306,7 +305,7 @@ func (c *Clock) maybeAdvanceLocked() {
 			}
 		}
 		c.now = next
-		e := heap.Pop(&c.timers).(timerEntry)
+		e := c.timers.pop()
 		if c.wakeLocked(e.ch) {
 			return
 		}
@@ -324,21 +323,57 @@ type timerEntry struct {
 	ch  chan struct{}
 }
 
+// timerHeap is a binary min-heap of timers ordered by (at, seq). The
+// order is strict and total (seq is unique), so timers pop in the same
+// order whatever the heap's shape. Typed push and pop keep the 32-byte
+// entries out of interface boxes.
 type timerHeap []timerEntry
 
 func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+
+func (h timerHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timerEntry)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// push adds e to the heap.
+func (h *timerHeap) push(e timerEntry) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+// pop removes and returns the earliest timer. The heap must not be empty.
+func (h *timerHeap) pop() timerEntry {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = timerEntry{} // drop the channel reference
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
+	return top
 }

@@ -531,3 +531,43 @@ func TestSpawnSerialized(t *testing.T) {
 		}
 	}
 }
+
+// TestTimerHeapPopsInOrder pushes timers in random order, with many equal
+// deadlines and pops interleaved, and checks each pop returns the earliest
+// remaining timer by (at, seq).
+func TestTimerHeapPopsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(64)
+		var h timerHeap
+		var live []timerEntry
+		popMin := func() {
+			t.Helper()
+			best := 0
+			for i, e := range live {
+				if e.at < live[best].at || e.at == live[best].at && e.seq < live[best].seq {
+					best = i
+				}
+			}
+			want := live[best]
+			live = append(live[:best], live[best+1:]...)
+			if got := h.pop(); got.at != want.at || got.seq != want.seq {
+				t.Fatalf("trial %d: pop = (%v, %d), want (%v, %d)", trial, got.at, got.seq, want.at, want.seq)
+			}
+		}
+		for _, seq := range rng.Perm(n) {
+			e := timerEntry{at: time.Duration(rng.Intn(8)), seq: uint64(seq)}
+			h.push(e)
+			live = append(live, e)
+			if rng.Intn(3) == 0 {
+				popMin()
+			}
+		}
+		for len(live) > 0 {
+			popMin()
+		}
+		if h.Len() != 0 {
+			t.Fatalf("trial %d: %d timers left after draining", trial, h.Len())
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package simclock
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Event is a one-shot, broadcast synchronization point on a Clock. Any
 // number of actors may Wait; the first Fire wakes them all, and Waits after
@@ -69,7 +66,7 @@ func (e *Event) WaitFor(d time.Duration) (fired bool, err error) {
 	ch := make(chan struct{})
 	e.waiters = append(e.waiters, ch)
 	c.nextTimerID++
-	heap.Push(&c.timers, timerEntry{at: c.now + d, seq: c.nextTimerID, ch: ch})
+	c.timers.push(timerEntry{at: c.now + d, seq: c.nextTimerID, ch: ch})
 	c.parkLocked(ch, "event-timeout")
 	c.mu.Unlock()
 	<-ch
